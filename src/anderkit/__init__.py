@@ -19,7 +19,6 @@ from .composer import (
     Multiplicative,
     Picard,
     RunConfig,
-    feval_count,
     run,
 )
 from .diagnostics import (
@@ -29,11 +28,9 @@ from .diagnostics import (
     contraction_audit,
     memory_footprint,
     read_trace_rows,
-    spectral_norm,
-    theta_of_step,
     write_trace_csv,
 )
-from .kernel import axpy, dot, least_squares, norm2
+from .kernel import dot, least_squares, norm2
 from .problems import (
     FixedPointProblem,
     Grid2D,
@@ -60,12 +57,10 @@ __all__ = [
     "TraceRow",
     "WindowMeter",
     "aa_step",
-    "axpy",
     "bratu_problem",
     "contraction_audit",
     "convdiff_problem",
     "dot",
-    "feval_count",
     "gmres_reference",
     "least_squares",
     "memory_footprint",
@@ -75,8 +70,6 @@ __all__ = [
     "run",
     "safeguard_beta",
     "solve_mixing_coefficients",
-    "spectral_norm",
-    "theta_of_step",
     "tridiag_problem",
     "write_trace_csv",
 ]

@@ -4,6 +4,10 @@ A solver is described by a small recursive spec: Picard, a windowed
 Anderson accelerator AA, an Additive blend of two specs over one shared
 iterate history, or a Multiplicative chain where each outer Anderson step
 hands its result to a freshly started inner accelerator for iter_n steps.
+
+Each spec node steps itself: step(window, g) reads the newest `depth` slots
+of the shared window, and `memory` is the peak history slots live while it
+steps (its depth plus the largest window it opens for one step).
 """
 
 from __future__ import annotations
@@ -30,6 +34,11 @@ from .kernel import norm2
 class Picard:
     """Plain fixed-point iteration x <- g(x)."""
 
+    depth = memory = 1
+
+    def step(self, window: HistoryWindow, g) -> _StepOutcome:
+        return _PLAIN.step(window, g)
+
 
 @dataclass(frozen=True)
 class AA:
@@ -42,10 +51,27 @@ class AA:
         if self.m < 0:
             raise ValueError(f"window size must be >= 0, got {self.m}")
 
+    @property
+    def depth(self) -> int:
+        return self.m + 1
+
+    memory = depth
+
+    def step(self, window: HistoryWindow, g) -> _StepOutcome:
+        x_next, diag = aa_step(window.tail(self.depth), self.damping, g)
+        return _StepOutcome(x_next, None, diag, [(diag.theta, diag.alpha_sum)])
+
+
+_PLAIN = AA(0)
+
 
 @dataclass(frozen=True)
 class Additive:
-    """Convex blend of two accelerator steps over one shared history."""
+    """Convex blend of two accelerator steps over one shared history.
+
+    The trace row carries the left component's mixing coefficients, the
+    larger of the two gains, and no single beta.
+    """
 
     left: "AcceleratorSpec"
     right: "AcceleratorSpec"
@@ -57,6 +83,33 @@ class Additive:
             raise ValueError(
                 f"weights must sum to 1, got {self.w_left} + {self.w_right}"
             )
+
+    @property
+    def depth(self) -> int:
+        return max(self.left.depth, self.right.depth)
+
+    @property
+    def memory(self) -> int:
+        # The branches step in turn, so only the larger of their transient
+        # windows is live on top of the shared one.
+        return self.depth + max(b.memory - b.depth for b in (self.left, self.right))
+
+    def step(self, window: HistoryWindow, g) -> _StepOutcome:
+        lo = self.left.step(window, g)
+        ro = self.right.step(window, g)
+        x_next = self.w_left * lo.x_next + self.w_right * ro.x_next
+        if not np.all(np.isfinite(x_next)):
+            raise DivergedError("blended iterate left the finite range")
+        worst_sum = max((lo.diag.alpha_sum, ro.diag.alpha_sum), key=lambda s: abs(s - 1.0))
+        diag = StepDiagnostics(
+            alpha=lo.diag.alpha,
+            beta=None,
+            theta=max(lo.diag.theta, ro.diag.theta),
+            alpha_sum=worst_sum,
+            alpha_abs_sum=max(lo.diag.alpha_abs_sum, ro.diag.alpha_abs_sum),
+            extra_fevals=lo.diag.extra_fevals + ro.diag.extra_fevals,
+        )
+        return _StepOutcome(x_next, None, diag, lo.checks + ro.checks)
 
 
 @dataclass(frozen=True)
@@ -75,6 +128,56 @@ class Multiplicative:
             raise ValueError("multiplicative composition needs a windowed outer accelerator")
         if self.iter_n < 0:
             raise ValueError(f"iter_n must be >= 0, got {self.iter_n}")
+
+    @property
+    def depth(self) -> int:
+        return self.outer.depth
+
+    @property
+    def memory(self) -> int:
+        return self.outer.depth + self.inner.memory
+
+    def step(self, window: HistoryWindow, g) -> _StepOutcome:
+        oo = self.outer.step(window, g)
+        if self.iter_n == 0:
+            return oo
+        checks = list(oo.checks)
+        spent = oo.diag.extra_fevals
+        inner_window = HistoryWindow(self.inner.depth, window.meter)
+        try:
+            x_cur = oo.x_next
+            gx_cur = g(x_cur)
+            spent += 1
+            if not np.all(np.isfinite(gx_cur)):
+                raise DivergedError("inner seed evaluation left the finite range")
+            inner_window.push(x_cur, gx_cur)
+            inner_theta = None
+            for _ in range(self.iter_n):
+                io = self.inner.step(inner_window, g)
+                if inner_theta is None:
+                    inner_theta = io.diag.theta
+                checks.extend(io.checks)
+                spent += io.diag.extra_fevals
+                x_cur = io.x_next
+                if io.gx_next is not None:
+                    gx_cur = io.gx_next
+                else:
+                    gx_cur = g(x_cur)
+                    spent += 1
+                if not np.all(np.isfinite(gx_cur)):
+                    raise DivergedError("inner evaluation left the finite range")
+                inner_window.push(x_cur, gx_cur)
+        finally:
+            inner_window.close()
+        diag = StepDiagnostics(
+            alpha=oo.diag.alpha,
+            beta=oo.diag.beta,
+            theta=oo.diag.theta,
+            alpha_sum=oo.diag.alpha_sum,
+            alpha_abs_sum=oo.diag.alpha_abs_sum,
+            extra_fevals=spent,
+        )
+        return _StepOutcome(x_cur, gx_cur, diag, checks, inner_theta=inner_theta)
 
 
 AcceleratorSpec = Union[Picard, AA, Additive, Multiplicative]
@@ -121,119 +224,6 @@ class _StepOutcome:
     inner_theta: float | None = None
 
 
-class _WindowedStepper:
-    def __init__(self, m: int, policy: DampingPolicy):
-        self.depth = m + 1
-        self.policy = policy
-
-    def step(self, window: HistoryWindow, g) -> _StepOutcome:
-        x_next, diag = aa_step(window.tail(self.depth), self.policy, g)
-        return _StepOutcome(x_next, None, diag, [(diag.theta, diag.alpha_sum)])
-
-
-class _AdditiveStepper:
-    """Blends two sub-steps; both read the same shared window.
-
-    The trace row carries the left component's mixing coefficients, the
-    larger of the two gains, and no single beta.
-    """
-
-    def __init__(self, left, right, w_left: float, w_right: float):
-        self.left = left
-        self.right = right
-        self.w_left = w_left
-        self.w_right = w_right
-        self.depth = max(left.depth, right.depth)
-
-    def step(self, window: HistoryWindow, g) -> _StepOutcome:
-        lo = self.left.step(window, g)
-        ro = self.right.step(window, g)
-        x_next = self.w_left * lo.x_next + self.w_right * ro.x_next
-        if not np.all(np.isfinite(x_next)):
-            raise DivergedError("blended iterate left the finite range")
-        worst_sum = max((lo.diag.alpha_sum, ro.diag.alpha_sum), key=lambda s: abs(s - 1.0))
-        diag = StepDiagnostics(
-            alpha=lo.diag.alpha,
-            beta=None,
-            theta=max(lo.diag.theta, ro.diag.theta),
-            alpha_sum=worst_sum,
-            alpha_abs_sum=max(lo.diag.alpha_abs_sum, ro.diag.alpha_abs_sum),
-            extra_fevals=lo.diag.extra_fevals + ro.diag.extra_fevals,
-        )
-        return _StepOutcome(x_next, None, diag, lo.checks + ro.checks)
-
-
-class _MultiplicativeStepper:
-    def __init__(self, outer, inner_spec: AcceleratorSpec, iter_n: int, meter: WindowMeter):
-        self.outer = outer
-        self.inner_spec = inner_spec
-        self.iter_n = iter_n
-        self.meter = meter
-        self.depth = outer.depth
-
-    def step(self, window: HistoryWindow, g) -> _StepOutcome:
-        oo = self.outer.step(window, g)
-        if self.iter_n == 0:
-            return oo
-        checks = list(oo.checks)
-        spent = oo.diag.extra_fevals
-        inner = build_stepper(self.inner_spec, self.meter)
-        inner_window = HistoryWindow(inner.depth, self.meter)
-        try:
-            x_cur = oo.x_next
-            gx_cur = g(x_cur)
-            spent += 1
-            if not np.all(np.isfinite(gx_cur)):
-                raise DivergedError("inner seed evaluation left the finite range")
-            inner_window.push(x_cur, gx_cur)
-            inner_theta = None
-            for _ in range(self.iter_n):
-                io = inner.step(inner_window, g)
-                if inner_theta is None:
-                    inner_theta = io.diag.theta
-                checks.extend(io.checks)
-                spent += io.diag.extra_fevals
-                x_cur = io.x_next
-                if io.gx_next is not None:
-                    gx_cur = io.gx_next
-                else:
-                    gx_cur = g(x_cur)
-                    spent += 1
-                if not np.all(np.isfinite(gx_cur)):
-                    raise DivergedError("inner evaluation left the finite range")
-                inner_window.push(x_cur, gx_cur)
-        finally:
-            inner_window.close()
-        diag = StepDiagnostics(
-            alpha=oo.diag.alpha,
-            beta=oo.diag.beta,
-            theta=oo.diag.theta,
-            alpha_sum=oo.diag.alpha_sum,
-            alpha_abs_sum=oo.diag.alpha_abs_sum,
-            extra_fevals=spent,
-        )
-        return _StepOutcome(x_cur, gx_cur, diag, checks, inner_theta=inner_theta)
-
-
-def build_stepper(spec: AcceleratorSpec, meter: WindowMeter):
-    if isinstance(spec, Picard):
-        return _WindowedStepper(0, DampingPolicy.none())
-    if isinstance(spec, AA):
-        return _WindowedStepper(spec.m, spec.damping)
-    if isinstance(spec, Additive):
-        return _AdditiveStepper(
-            build_stepper(spec.left, meter),
-            build_stepper(spec.right, meter),
-            spec.w_left,
-            spec.w_right,
-        )
-    if isinstance(spec, Multiplicative):
-        return _MultiplicativeStepper(
-            build_stepper(spec.outer, meter), spec.inner, spec.iter_n, meter
-        )
-    raise TypeError(f"not an accelerator spec: {spec!r}")
-
-
 def run(
     spec: AcceleratorSpec,
     problem,
@@ -255,10 +245,11 @@ def run(
     if not np.all(np.isfinite(x)):
         raise ValueError("x0 must be finite")
 
+    if not isinstance(spec, AcceleratorSpec):
+        raise TypeError(f"not an accelerator spec: {spec!r}")
     meter = meter if meter is not None else WindowMeter()
-    stepper = build_stepper(spec, meter)
     g = CountingMap(problem.g)
-    window = HistoryWindow(stepper.depth, meter)
+    window = HistoryWindow(spec.depth, meter)
     start = time.perf_counter_ns()
 
     rows: list[TraceRow] = []
@@ -286,7 +277,7 @@ def run(
             termination = Termination.MAX_FEVALS
             break
         try:
-            out = stepper.step(window, g)
+            out = spec.step(window, g)
             gx = out.gx_next if out.gx_next is not None else g(out.x_next)
             if not np.all(np.isfinite(gx)):
                 raise DivergedError("evaluation left the finite range")
@@ -317,8 +308,3 @@ def run(
 
     window.close()
     return ConvergenceTrace(rows=rows, termination=termination)
-
-
-def feval_count(trace: ConvergenceTrace) -> int:
-    """Total g evaluations recorded by the run."""
-    return trace.fevals

@@ -8,10 +8,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
-import numpy as np
-
-from .accelerator import MixingResult
-
 TRACE_COLUMNS = ("iter", "fevals", "res_norm", "beta", "theta", "alpha_abs_sum", "wall_ns")
 
 
@@ -60,32 +56,14 @@ class ConvergenceTrace:
         return self.rows[-1].fevals if self.rows else 0
 
 
-def theta_of_step(mix: MixingResult, residual_norm: float) -> float:
-    """Mixing gain ||sum alpha_i f_i|| / ||f_k||, zero when f_k vanishes."""
-    if residual_norm <= 0.0:
-        return 0.0
-    return mix.mixed_norm / residual_norm
-
-
 def memory_footprint(spec) -> int:
     """History slots a spec keeps live at once.
 
     A window of size m holds m + 1 iterate slots. Additive composition
-    shares one history, so the deeper window dominates; multiplicative
-    composition keeps the inner window alive next to the outer one.
+    shares one history and adds the larger window a branch opens per step;
+    multiplicative composition keeps the inner slots next to the outer ones.
     """
-    # Imported here: composer imports this module for the trace types.
-    from . import composer
-
-    if isinstance(spec, composer.Picard):
-        return 1
-    if isinstance(spec, composer.AA):
-        return spec.m + 1
-    if isinstance(spec, composer.Additive):
-        return max(memory_footprint(spec.left), memory_footprint(spec.right))
-    if isinstance(spec, composer.Multiplicative):
-        return memory_footprint(spec.outer) + memory_footprint(spec.inner)
-    raise TypeError(f"not an accelerator spec: {spec!r}")
+    return spec.memory
 
 
 @dataclass
@@ -142,31 +120,6 @@ def contraction_audit(
         report.skipped = True
         report.notice = "trace carries no usable mixing diagnostics"
     return report
-
-
-def spectral_norm(mat, iters: int = 2000, rtol: float = 1e-13, seed: int = 0) -> float:
-    """2-norm of a dense matrix by power iteration on mat.T @ mat."""
-    a = np.asarray(mat, dtype=float)
-    if a.ndim != 2:
-        raise ValueError(f"matrix must be 2-D, got shape {a.shape}")
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(a.shape[1])
-    nv = np.linalg.norm(v)
-    if nv == 0.0:
-        return 0.0
-    v /= nv
-    sigma = 0.0
-    for _ in range(iters):
-        u = a.T @ (a @ v)
-        nu = np.linalg.norm(u)
-        if nu == 0.0:
-            return 0.0
-        v = u / nu
-        new = float(np.linalg.norm(a @ v))
-        if abs(new - sigma) <= rtol * max(new, 1e-300):
-            return new
-        sigma = new
-    return sigma
 
 
 def _fmt(value: float | int | None) -> str:

@@ -38,14 +38,6 @@ def norm2(v) -> float:
         return float(np.sqrt(sum((v * v).tolist())))
 
 
-def axpy(alpha: float, x, y) -> np.ndarray:
-    x = _as_vector(x, "x")
-    y = _as_vector(y, "y")
-    if x.shape != y.shape:
-        raise ValueError(f"length mismatch: {x.shape[0]} vs {y.shape[0]}")
-    return alpha * x + y
-
-
 def least_squares(matrix, rhs) -> np.ndarray:
     """Minimize ||rhs - matrix @ w||_2 via QR with column pivoting.
 

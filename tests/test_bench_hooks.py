@@ -1,0 +1,46 @@
+"""The benchmark's traced run rebinds public names; keep them where it looks."""
+
+import importlib.util
+from pathlib import Path
+
+from anderkit import composer
+from anderkit.accelerator import DampingPolicy
+from anderkit.composer import AA, Multiplicative, RunConfig
+from anderkit.problems import tridiag_problem
+
+_SPANS_PATH = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location("bench_spans", _SPANS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_rebound_name_exists_on_its_owner():
+    spans = _load_spans()
+    for owner, name, *_ in spans._REBINDINGS:
+        assert name in vars(owner), (owner, name)
+
+
+def test_traced_solve_reaches_every_layer():
+    spans = _load_spans()
+    tracer = spans.Tracer()
+    problem = tridiag_problem(30)
+    spec = Multiplicative(AA(3, DampingPolicy.optimized()), AA(1))
+    originals = [vars(owner)[name] for owner, name, *_ in spans._REBINDINGS]
+    with spans.instrumented(tracer, [problem]) as traced:
+        twin = traced[id(problem)]
+        composer.run(spec, twin, twin.default_start, RunConfig(tol=1e-300, max_iters=10))
+    for layer in (
+        "kernel.least_squares",
+        "kernel.reductions",
+        "accelerator.step",
+        "accelerator.damping",
+        "accelerator.window",
+        "problems.g",
+    ):
+        assert tracer.layer(layer).calls > 0, layer
+    # the rebindings are undone when the block ends
+    assert [vars(owner)[name] for owner, name, *_ in spans._REBINDINGS] == originals

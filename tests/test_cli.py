@@ -167,6 +167,11 @@ def test_experiment_config_validation():
         ExperimentConfig(problem_kind="tridiag", problem_params={"N": 4})  # key is n
     with pytest.raises(ValueError):
         ExperimentConfig(problem_kind="bratu", solvers=[])
+    with pytest.raises(ValueError):
+        ExperimentConfig(problem_kind="bratu", solvers=["AA("])
+    # two spellings of one spec would write the same CSV
+    with pytest.raises(ValueError):
+        ExperimentConfig(problem_kind="bratu", solvers=["AA(2)", "AA( 2 )"])
 
 
 def _write_config(path, **overrides):
@@ -175,7 +180,6 @@ def _write_config(path, **overrides):
         "solvers": ["picard", "AA(5)"],
         "run": {"tol": 1e-6, "max_iters": 400},
         "output": str(path.parent / "results"),
-        "seed": 3,
     }
     payload.update(overrides)
     path.write_text(json.dumps(payload), encoding="utf-8")
@@ -191,7 +195,6 @@ def test_load_experiment_config(tmp_path):
     assert config.solvers == ["picard", "AA(5)"]
     assert config.run_config.tol == 1e-6
     assert config.run_config.max_iters == 400
-    assert config.seed == 3
     assert config.paper_style_iters is False
 
 
@@ -209,6 +212,10 @@ def test_load_experiment_config_rejects_unknown_keys(tmp_path):
     cfg_path.write_text("[1, 2]", encoding="utf-8")
     with pytest.raises(ValueError):
         load_experiment_config(cfg_path)
+    for section in ("problem", "run"):
+        _write_config(cfg_path, **{section: 5})
+        with pytest.raises(ValueError, match="must be a JSON object"):
+            load_experiment_config(cfg_path)
 
 
 # ---- running experiments ----
@@ -350,6 +357,11 @@ def test_main_exit_codes(tmp_path, capsys):
     # malformed solver spec exits 1 with a message
     assert main(["run", "--problem", "tridiag", "--solver", "AA("]) == 1
     assert "config error" in capsys.readouterr().err
+    # two spellings of one canonical label exit 1 before any CSV is written
+    assert main(["run", "--problem", "tridiag", "--solver", "AA(2)", "--solver", "AA( 2 )",
+                 "--out", str(tmp_path / "dup")]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "dup").exists()
     # malformed problem parameter exits 1
     assert main(["run", "--problem", "tridiag", "--param", "bogus"]) == 1
     capsys.readouterr()

@@ -1,9 +1,9 @@
-"""Traces, audits, spectral norm estimate, csv persistence."""
+"""Traces, audits, memory formulas, csv persistence."""
 
 import numpy as np
 import pytest
 
-from anderkit.accelerator import DampingPolicy, HistoryWindow, solve_mixing_coefficients
+from anderkit.accelerator import DampingPolicy
 from anderkit.composer import AA, Additive, Multiplicative, Picard, RunConfig, run
 from anderkit.diagnostics import (
     TRACE_COLUMNS,
@@ -13,8 +13,6 @@ from anderkit.diagnostics import (
     contraction_audit,
     memory_footprint,
     read_trace_rows,
-    spectral_norm,
-    theta_of_step,
     write_trace_csv,
 )
 from anderkit.problems import FixedPointProblem
@@ -37,15 +35,6 @@ def test_termination_values_are_strings():
     assert Termination.DIVERGED.value == "diverged"
 
 
-def test_theta_of_step():
-    w = HistoryWindow(2)
-    w.push(np.array([0.0, 0.0]), np.array([1.0, 0.0]))
-    w.push(np.array([2.0, 0.0]), np.array([1.0, 0.0]))
-    mix = solve_mixing_coefficients(w)
-    assert theta_of_step(mix, 1.0) == pytest.approx(0.0, abs=1e-14)
-    assert theta_of_step(mix, 0.0) == 0.0
-
-
 def test_memory_footprint_formulas():
     assert memory_footprint(Picard()) == 1
     assert memory_footprint(AA(20)) == 21
@@ -53,7 +42,8 @@ def test_memory_footprint_formulas():
     assert memory_footprint(Multiplicative(AA(20), AA(1))) == 23
     assert memory_footprint(Multiplicative(AA(3), Picard())) == 5
     nested = Additive(Multiplicative(AA(2), AA(1)), AA(5))
-    assert memory_footprint(nested) == max(3 + 2, 6)
+    # the shared window of 6 plus the 2-slot inner window the left branch opens
+    assert memory_footprint(nested) == 6 + 2
 
 
 # ---- contraction audits ----
@@ -126,26 +116,6 @@ def test_audit_rejects_bad_arguments():
         contraction_audit(trace, kappa=1.5, kind="damped")
     with pytest.raises(ValueError):
         contraction_audit(trace, kappa=0.5, kind="sideways")
-
-
-# ---- spectral norm ----
-
-
-def test_spectral_norm_matches_numpy_two_norm():
-    rng = np.random.default_rng(77)
-    for _ in range(10):
-        mat = rng.standard_normal((12, 12))
-        ref = float(np.linalg.norm(mat, 2))
-        assert spectral_norm(mat) == pytest.approx(ref, rel=1e-10)
-
-
-def test_spectral_norm_edge_cases():
-    assert spectral_norm(np.zeros((4, 4))) == 0.0
-    assert spectral_norm(np.eye(3) * 2.5) == pytest.approx(2.5)
-    # rectangular input works too
-    rng = np.random.default_rng(5)
-    mat = rng.standard_normal((7, 3))
-    assert spectral_norm(mat) == pytest.approx(float(np.linalg.norm(mat, 2)), rel=1e-10)
 
 
 # ---- csv persistence ----

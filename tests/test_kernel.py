@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from anderkit.kernel import axpy, dot, least_squares, norm2
+from anderkit.kernel import dot, least_squares, norm2
 
 
 def test_dot_matches_numpy_on_random_vectors():
@@ -39,15 +39,6 @@ def test_dot_rejects_shape_mismatch():
         dot(np.ones(3), np.ones(4))
     with pytest.raises(ValueError):
         norm2(np.ones((2, 2)))
-
-
-def test_axpy():
-    x = np.array([1.0, 2.0])
-    y = np.array([10.0, 20.0])
-    out = axpy(3.0, x, y)
-    assert np.array_equal(out, [13.0, 26.0])
-    # inputs untouched
-    assert np.array_equal(x, [1.0, 2.0]) and np.array_equal(y, [10.0, 20.0])
 
 
 def test_least_squares_square_exact():
