@@ -1,11 +1,18 @@
 """Anderson mixing core: iterate history, coefficient solves, damping.
 
 At iterate x_k with residual f_k = g(x_k) - x_k, a window holds the most
-recent m_k + 1 triples (x_i, g(x_i), f_i). The mixing coefficients alpha
-minimize ||sum_i alpha_i f_i||_2 subject to sum_i alpha_i = 1. The
-constraint is eliminated by solving the unconstrained least-squares problem
-in the residual differences (f_i - f_k) and assigning the slack coefficient
-to the newest entry, so a degenerate window falls back to the plain step.
+recent p + 1 triples (x_i, g(x_i), f_i). The mixing coefficients alpha
+minimize ||sum_i alpha_i f_i||_2 subject to sum_i alpha_i = 1.
+
+Following Walker & Ni (2011, section 4), the constraint is eliminated with
+the consecutive differences df_i = f_{i+1} - f_i, which span the same space
+as the f_i - f_k: gamma minimizes ||f_k - dF gamma||_2, the averages are
+x_k - dX gamma and f_k - dF gamma, and alpha follows by differencing gamma.
+Because each push only appends one difference column and, once the window
+is full, drops the oldest, the window keeps a thin QR factor of dF up to
+date by column updates instead of refactoring the whole block every step.
+The pivoted solve on the small triangle still decides the rank; a window
+whose differences are dependent solves on the stacked block instead.
 """
 
 from __future__ import annotations
@@ -15,8 +22,9 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
+import scipy.linalg
 
-from .kernel import dot, least_squares, norm2
+from .kernel import RANK_TOL, dot, least_squares, norm2, ordered_sum
 
 # Relative threshold below which the damping direction r_p - r_q is treated
 # as degenerate and the undamped step is taken.
@@ -49,11 +57,46 @@ class WindowMeter:
         self.current -= k
 
 
+def _qr_append(q: np.ndarray, r: np.ndarray, u: np.ndarray):
+    """Thin QR of [A u] from the thin QR (q, r) of A, or None.
+
+    Classical Gram-Schmidt with one reorthogonalization pass. None means
+    the factor cannot take u: u is zero, non-finite or within RANK_TOL of
+    the span of A, or the result would have no fewer columns than rows.
+    """
+    n, p = q.shape
+    if p + 1 >= n:
+        return None
+    c = q.T @ u
+    v = u - q @ c
+    c2 = q.T @ v
+    v -= q @ c2
+    rho = np.sqrt(v @ v)
+    # Written so that a NaN (from a non-finite u) also refuses the column.
+    if not rho > RANK_TOL * np.sqrt(u @ u):
+        return None
+    q_new = np.empty((n, p + 1), order="F")
+    q_new[:, :p] = q
+    np.divide(v, rho, out=q_new[:, p])
+    r_new = np.zeros((p + 1, p + 1))
+    r_new[:p, :p] = r
+    r_new[:p, p] = c + c2
+    r_new[p, p] = rho
+    return q_new, r_new
+
+
 class HistoryWindow:
     """Sliding window over the last `capacity` iterate triples.
 
     Pushing beyond capacity evicts the oldest entry. All vectors in a
     window share one dimension; single-writer use is assumed.
+
+    Besides the entries, the window holds the p = len - 1 consecutive
+    differences dx_i = x_{i+1} - x_i and df_i = f_{i+1} - f_i, oldest
+    first, in ring buffers of capacity - 1 rows, and a thin QR factor of
+    the df block. The factor is None while a dependent column (or more
+    columns than unknowns) sits in the window; it is rebuilt once that
+    column has been evicted.
     """
 
     def __init__(self, capacity: int, meter: WindowMeter | None = None):
@@ -63,6 +106,13 @@ class HistoryWindow:
         self.entries: deque[WindowEntry] = deque(maxlen=capacity)
         self.meter = meter
         self._closed = False
+        # Row (_head + i) % (capacity - 1) holds difference column i.
+        self._dx: np.ndarray | None = None
+        self._df: np.ndarray | None = None
+        self._head = 0
+        self.factor: tuple[np.ndarray, np.ndarray] | None = None
+        # While factor is None: evictions left before it can be rebuilt.
+        self._blocked = 0
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -82,18 +132,94 @@ class HistoryWindow:
                 f"dimension {x.shape[0]} does not match window dimension "
                 f"{self.entries[0].x.shape[0]}"
             )
-        grew = len(self.entries) < self.capacity
-        self.entries.append(WindowEntry(x, gx, gx - x))
-        if grew and self.meter is not None:
+        entry = WindowEntry(x, gx, gx - x)
+        prev = self.entries[-1] if self.entries else None
+        full = len(self.entries) == self.capacity
+        self.entries.append(entry)
+        if not full and self.meter is not None:
             self.meter.acquire(1)
+        if prev is not None and self.capacity > 1:
+            self._append_difference(prev, entry, evict=full)
         return self
 
+    def _append_difference(self, prev: WindowEntry, entry: WindowEntry, evict: bool) -> None:
+        slots = self.capacity - 1
+        if self._dx is None:
+            self._dx = np.empty((slots, entry.x.shape[0]))
+            self._df = np.empty_like(self._dx)
+        p = len(self.entries) - 1
+        if evict:
+            self._head = (self._head + 1) % slots
+        row = (self._head + p - 1) % slots
+        np.subtract(entry.x, prev.x, out=self._dx[row])
+        np.subtract(entry.f, prev.f, out=self._df[row])
+        if self.factor is None:
+            if evict:
+                self._blocked -= 1
+            if self._blocked <= 0:
+                self._refactor()
+            return
+        q, r = self.factor
+        if evict:
+            try:
+                q, r = scipy.linalg.qr_delete(
+                    q, r, 0, which="col", overwrite_qr=True, check_finite=False
+                )
+            except scipy.linalg.LinAlgError:
+                self._refactor()
+                return
+        self.factor = _qr_append(q, r, self._df[row])
+        if self.factor is None:
+            self._blocked = p
+
+    def _refactor(self) -> None:
+        """Factor the df block from scratch, one column at a time."""
+        block = self.differences()[1]
+        factor = (np.empty((block.shape[1], 0), order="F"), np.empty((0, 0)))
+        for i, col in enumerate(block):
+            factor = _qr_append(*factor, col)
+            if factor is None:
+                self._blocked = i + 1
+                break
+        self.factor = factor
+
+    def differences(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (dx, df) blocks as p x n arrays, oldest column first."""
+        p = max(len(self.entries) - 1, 0)
+        if self._head:
+            return (np.roll(self._dx, -self._head, axis=0),
+                    np.roll(self._df, -self._head, axis=0))
+        if self._dx is None:
+            empty = np.empty((0, self.entries[-1].x.shape[0] if self.entries else 0))
+            return empty, empty
+        return self._dx[:p], self._df[:p]
+
+    def combine(self, gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(dX gamma, dF gamma) for gamma over the columns, oldest first."""
+        if self._head:
+            # Ring order: row _head holds the oldest column.
+            cut = gamma.shape[0] - self._head
+            gamma = np.concatenate((gamma[cut:], gamma[:cut]))
+            return gamma @ self._dx, gamma @ self._df
+        p = gamma.shape[0]
+        return gamma @ self._dx[:p], gamma @ self._df[:p]
+
     def tail(self, k: int) -> "HistoryWindow":
-        """Read-only view of the newest min(k, len) entries, unmetered."""
+        """Read-only view of the newest min(k, len) entries, unmetered.
+
+        With k >= len the view is the window itself, factor included.
+        """
         if k < 1:
             raise ValueError(f"tail size must be >= 1, got {k}")
+        n_entries = len(self.entries)
+        if k >= n_entries:
+            return self
         view = HistoryWindow(k)
         view.entries.extend(list(self.entries)[-k:])
+        if k > 1:
+            rows = (self._head + np.arange(n_entries - k, n_entries - 1)) % (self.capacity - 1)
+            view._dx = self._dx[rows]
+            view._df = self._df[rows]
         return view
 
     def newest(self) -> WindowEntry:
@@ -159,11 +285,11 @@ class MixingResult:
 
     @property
     def alpha_sum(self) -> float:
-        return float(sum(self.alpha.tolist()))
+        return ordered_sum(self.alpha)
 
     @property
     def alpha_abs_sum(self) -> float:
-        return float(sum(np.abs(self.alpha).tolist()))
+        return ordered_sum(np.abs(self.alpha))
 
 
 @dataclass
@@ -178,36 +304,43 @@ class StepDiagnostics:
     extra_fevals: int
 
 
-def _weighted_sum(alpha: np.ndarray, vectors) -> np.ndarray:
-    # Fixed oldest-first accumulation keeps traces reproducible.
-    acc = alpha[0] * vectors[0]
-    for a, v in zip(alpha[1:].tolist(), vectors[1:]):
-        acc = acc + a * v
-    return acc
-
-
 def solve_mixing_coefficients(window: HistoryWindow) -> MixingResult:
     """Solve the constrained mixing problem over the window's residuals.
 
-    The newest entry carries the slack coefficient 1 - sum(others), so the
-    sum-to-one constraint holds by construction and a window whose residual
-    differences are rank deficient prefers the newest iterate.
+    gamma minimizes ||f_k - dF gamma||_2 through least_squares on the
+    window's triangular factor (R, Q^T f_k), or on the stacked dF block
+    when the factor is unavailable. Either way the pivoted solve gives
+    columns below RANK_TOL zero weight, so a degenerate window prefers the
+    newest iterate. alpha = diff([0, gamma, 1]) sums to one by construction.
     """
-    entries = list(window.entries)
-    if not entries:
+    if not window.entries:
         raise ValueError("cannot mix an empty window")
-    newest = entries[-1]
-    p = len(entries) - 1
+    newest = window.newest()
+    p = len(window) - 1
     if p == 0:
-        alpha = np.array([1.0])
+        return MixingResult(
+            alpha=np.array([1.0]), x_avg=newest.x, gx_avg=newest.gx, mixed_norm=norm2(newest.f)
+        )
+    if window.factor is not None:
+        q, r = window.factor
+        gamma = least_squares(r, q.T @ newest.f)
     else:
-        diffs = np.column_stack([e.f - newest.f for e in entries[:-1]])
-        w = least_squares(diffs, -newest.f)
-        alpha = np.append(w, 1.0 - float(sum(w.tolist())))
-    x_avg = _weighted_sum(alpha, [e.x for e in entries])
-    gx_avg = _weighted_sum(alpha, [e.gx for e in entries])
-    mixed = _weighted_sum(alpha, [e.f for e in entries])
-    return MixingResult(alpha=alpha, x_avg=x_avg, gx_avg=gx_avg, mixed_norm=norm2(mixed))
+        block = window.differences()[1].T
+        rhs = newest.f
+        n = rhs.shape[0]
+        if p > n:
+            # Zero rows leave the minimization unchanged and let the
+            # pivoted solve pick at most n columns.
+            block = np.vstack((block, np.zeros((p - n, p))))
+            rhs = np.concatenate((rhs, np.zeros(p - n)))
+        gamma = least_squares(block, rhs)
+    dx_gamma, df_gamma = window.combine(gamma)
+    x_avg = newest.x - dx_gamma
+    mixed = newest.f - df_gamma
+    # alpha = diff([0, gamma, 1])
+    alpha = np.append(gamma, 1.0)
+    alpha[1:] -= gamma
+    return MixingResult(alpha=alpha, x_avg=x_avg, gx_avg=x_avg + mixed, mixed_norm=norm2(mixed))
 
 
 def optimized_beta(r_p, r_q) -> float:

@@ -1,7 +1,11 @@
 """Small dense linear algebra kernel backing the mixing solves.
 
-Scalar reductions (dot, norm2) accumulate strictly left to right so that
-recorded residual norms are reproducible across BLAS builds.
+Scalar reductions (dot, norm2, ordered_sum) accumulate strictly left to
+right, through numpy's add.accumulate, so that recorded residual norms are
+reproducible across BLAS builds. least_squares is the pivoted-QR solve
+that decides the numerical rank of every mixing problem; the mixing solve
+hands it either the small triangular factor kept by the history window or,
+when that factor is unavailable, the stacked residual differences.
 """
 
 from __future__ import annotations
@@ -21,21 +25,27 @@ def _as_vector(v, name: str) -> np.ndarray:
     return a
 
 
+def ordered_sum(v) -> float:
+    """Sum of a 1-D array, accumulated strictly left to right."""
+    # cumsum is add.accumulate, which never reorders (unlike np.sum's
+    # pairwise summation). An empty vector sums to 0.0, as sum([]) does.
+    return float(np.cumsum(v)[-1]) if len(v) else 0.0
+
+
 def dot(a, b) -> float:
     a = _as_vector(a, "a")
     b = _as_vector(b, "b")
     if a.shape != b.shape:
         raise ValueError(f"length mismatch: {a.shape[0]} vs {b.shape[0]}")
-    # sum() over a Python list is a sequential left-to-right accumulation.
     # Overflow is not an error here: inf propagates to the caller's checks.
     with np.errstate(over="ignore", invalid="ignore"):
-        return float(sum((a * b).tolist()))
+        return ordered_sum(a * b)
 
 
 def norm2(v) -> float:
     v = _as_vector(v, "v")
     with np.errstate(over="ignore", invalid="ignore"):
-        return float(np.sqrt(sum((v * v).tolist())))
+        return float(np.sqrt(ordered_sum(v * v)))
 
 
 def least_squares(matrix, rhs) -> np.ndarray:

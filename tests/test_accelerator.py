@@ -13,7 +13,7 @@ from anderkit.accelerator import (
     safeguard_beta,
     solve_mixing_coefficients,
 )
-from anderkit.kernel import norm2
+from anderkit.kernel import least_squares, norm2
 
 
 # ---- window bookkeeping ----
@@ -52,6 +52,22 @@ def test_window_tail_views_newest_entries():
     assert [e.x[0] for e in t] == [3.0, 4.0]
     # tail of more than available returns what exists
     assert len(w.tail(99)) == 5
+
+
+def test_window_tail_reuses_itself_and_copies_newest_differences():
+    rng = np.random.default_rng(4)
+    w = HistoryWindow(4)
+    for _ in range(6):
+        x = rng.standard_normal(3)
+        w.push(x, x + rng.standard_normal(3))
+    assert w.tail(4) is w and w.tail(99) is w
+    t = w.tail(2)
+    assert t is not w and [e.x[0] for e in t] == [e.x[0] for e in list(w)[-2:]]
+    assert np.array_equal(t.differences()[1], w.differences()[1][-1:])
+    fresh = HistoryWindow(2)
+    for e in t:
+        fresh.push(e.x, e.gx)
+    assert np.allclose(solve_mixing_coefficients(t).alpha, solve_mixing_coefficients(fresh).alpha, atol=1e-14)
 
 
 def test_meter_tracks_fill_and_peak():
@@ -171,6 +187,133 @@ def test_mixing_norm_never_exceeds_newest_residual():
         mix = solve_mixing_coefficients(w)
         newest = norm2(w.newest().f)
         assert mix.mixed_norm <= newest * (1.0 + 1e-12) + 1e-15
+
+
+# ---- the updated factor and its stacked fallback ----
+
+
+def _padded_least_squares(matrix, rhs):
+    # Zero rows leave the minimization unchanged when columns outnumber rows.
+    n, p = matrix.shape
+    if p > n:
+        matrix = np.vstack((matrix, np.zeros((p - n, p))))
+        rhs = np.concatenate((rhs, np.zeros(p - n)))
+    return least_squares(matrix, rhs)
+
+
+def _fallback_alpha(window):
+    """alpha from least_squares on the stacked consecutive differences."""
+    gamma = _padded_least_squares(window.differences()[1].T, window.newest().f)
+    return np.diff(gamma, prepend=0.0, append=1.0)
+
+
+def _eliminated_alpha(window):
+    """alpha from least_squares on the stacked f_i - f_k matrix."""
+    fs = [e.f for e in window]
+    w = _padded_least_squares(np.column_stack([f - fs[-1] for f in fs[:-1]]), -fs[-1])
+    return np.append(w, 1.0 - w.sum())
+
+
+def _blend(alpha, vectors):
+    return sum(a * v for a, v in zip(alpha, vectors))
+
+
+def _check_fallback(window, same_averages):
+    # alpha of a rank-deficient window is not unique: the window's alpha is
+    # the stacked-difference solve, and its mixed residual (and, when whole
+    # iterates repeat, its averages) match the f_i - f_k formulation.
+    assert window.factor is None
+    mix = solve_mixing_coefficients(window)
+    assert np.allclose(mix.alpha, _fallback_alpha(window), rtol=0.0, atol=1e-10)
+    ref = _eliminated_alpha(window)
+    fs = [e.f for e in window]
+    assert norm2(_blend(mix.alpha, fs) - _blend(ref, fs)) <= 1e-10 * max(norm2(fs[-1]), 1.0)
+    if same_averages:
+        assert np.allclose(mix.x_avg, _blend(ref, [e.x for e in window]), rtol=0.0, atol=1e-10)
+        assert np.allclose(mix.gx_avg, _blend(ref, [e.gx for e in window]), rtol=0.0, atol=1e-10)
+    x_next, diag = aa_step(window, DampingPolicy.none(), lambda x: x)
+    assert np.all(np.isfinite(x_next)) and diag.alpha_sum == pytest.approx(1.0, abs=1e-12)
+
+
+def test_repeated_iterate_takes_stacked_fallback_until_evicted():
+    rng = np.random.default_rng(21)
+    g = lambda x: np.cos(x) + 0.5
+    w = HistoryWindow(4)
+    x0, x1 = rng.standard_normal(6), rng.standard_normal(6)
+    for x in (x0, x1, x1):  # the repeat makes dx = df = 0
+        w.push(x, g(x))
+    _check_fallback(w, same_averages=True)
+    x = rng.standard_normal(6)
+    w.push(x, g(x))
+    _check_fallback(w, same_averages=True)
+    # the zero column leaves with the second eviction; the factor returns
+    for _ in range(2):
+        x = rng.standard_normal(6)
+        w.push(x, g(x))
+    assert w.factor is not None
+
+
+def test_dependent_differences_take_stacked_fallback():
+    # integer data keeps df_2 = 2 df_0 exact in floating point
+    rng = np.random.default_rng(34)
+    d = rng.integers(-5, 6, 5).astype(float)
+    e = rng.integers(-5, 6, 5).astype(float)
+    f = rng.integers(-5, 6, 5).astype(float)
+    w = HistoryWindow(4)
+    for step in (np.zeros(5), d, e, 2.0 * d):
+        f = f + step
+        x = rng.integers(-9, 10, 5).astype(float)
+        w.push(x, x + f)
+    _check_fallback(w, same_averages=False)
+
+
+def test_scalar_window_deeper_than_its_dimension_takes_stacked_fallback():
+    # n = 1 with depth 3: two difference columns in a one-row problem
+    g = lambda x: np.cos(x)
+    w = HistoryWindow(3)
+    for x in (0.0, 1.0, 3.0, -2.0):
+        w.push(np.array([x]), g(np.array([x])))
+        if len(w) > 1:
+            _check_fallback(w, same_averages=False)
+
+
+def test_updated_factor_stays_orthogonal_over_a_long_run():
+    rng = np.random.default_rng(1000)
+    n = 40
+    w = HistoryWindow(21)
+    for _ in range(1000):
+        x = rng.standard_normal(n)
+        w.push(x, x + rng.standard_normal(n))
+        if len(w) < 2:
+            continue
+        q, r = w.factor
+        block = w.differences()[1].T
+        assert np.linalg.norm(q.T @ q - np.eye(q.shape[1])) <= 1e-10
+        assert np.linalg.norm(q @ r - block) <= 1e-10 * np.linalg.norm(block)
+        fs = [e.f for e in w]
+        stacked = np.column_stack([f - fs[-1] for f in fs[:-1]])
+        ref = norm2(fs[-1] + stacked @ least_squares(stacked, -fs[-1]))
+        assert abs(solve_mixing_coefficients(w).mixed_norm - ref) <= 1e-10 * ref
+
+
+def test_updated_factor_stays_orthogonal_on_nearly_dependent_differences():
+    # every df is one direction plus a 1e-7 perturbation: cond(dF) ~ 1e7,
+    # where a single Gram-Schmidt pass would lose orthogonality
+    rng = np.random.default_rng(77)
+    n = 30
+    base = rng.standard_normal(n)
+    f = rng.standard_normal(n)
+    w = HistoryWindow(11)
+    for _ in range(100):
+        f = f + base + 1e-7 * rng.standard_normal(n)
+        x = rng.standard_normal(n)
+        w.push(x, x + f)
+        if len(w) < 2:
+            continue
+        q, r = w.factor
+        assert np.linalg.norm(q.T @ q - np.eye(q.shape[1])) <= 1e-10
+        block = w.differences()[1].T
+        assert np.linalg.norm(q @ r - block) <= 1e-10 * np.linalg.norm(block)
 
 
 # ---- damping ----

@@ -5,7 +5,7 @@ from pathlib import Path
 
 from anderkit import composer
 from anderkit.accelerator import DampingPolicy
-from anderkit.composer import AA, Multiplicative, RunConfig
+from anderkit.composer import AA, Additive, Multiplicative, RunConfig
 from anderkit.problems import tridiag_problem
 
 _SPANS_PATH = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
@@ -44,3 +44,21 @@ def test_traced_solve_reaches_every_layer():
         assert tracer.layer(layer).calls > 0, layer
     # the rebindings are undone when the block ends
     assert [vars(owner)[name] for owner, name, *_ in spans._REBINDINGS] == originals
+
+
+def test_traced_solve_calls_least_squares_once_per_windowed_step():
+    # A window of k + 1 entries solves with p = k >= 1 difference columns at
+    # every outer step but the first. The inner AA(1) of the composition sees
+    # only its seed entry (p = 0, no solve); both ADD branches solve.
+    spans = _load_spans()
+    problem = tridiag_problem(30)
+    for spec, solves_per_step in (
+        (Multiplicative(AA(3, DampingPolicy.optimized()), AA(1)), 1),
+        (Additive(AA(3), AA(1)), 2),
+    ):
+        tracer = spans.Tracer()
+        with spans.instrumented(tracer, [problem]) as traced:
+            twin = traced[id(problem)]
+            trace = composer.run(spec, twin, twin.default_start, RunConfig(tol=1e-300, max_iters=10))
+        assert trace.iters == 10
+        assert tracer.layer("kernel.least_squares").calls == solves_per_step * (trace.iters - 1)

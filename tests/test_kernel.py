@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from anderkit.kernel import dot, least_squares, norm2
+from anderkit.kernel import dot, least_squares, norm2, ordered_sum
 
 
 def test_dot_matches_numpy_on_random_vectors():
@@ -24,6 +24,23 @@ def test_dot_is_exact_left_to_right_accumulation():
     for ai, bi in zip(a.tolist(), b.tolist()):
         acc += ai * bi
     assert dot(a, b) == acc
+
+
+def test_norm2_and_ordered_sum_are_exact_left_to_right_accumulations():
+    rng = np.random.default_rng(13)
+    v = rng.standard_normal(257) * 10.0 ** rng.integers(-8, 8, 257)
+    acc = sq = 0.0
+    for vi in v.tolist():
+        acc += vi
+        sq += vi * vi
+    assert ordered_sum(v) == acc
+    assert norm2(v) == float(np.sqrt(sq))
+
+
+def test_reductions_of_empty_vectors_are_zero():
+    assert dot(np.zeros(0), np.zeros(0)) == 0.0
+    assert norm2(np.zeros(0)) == 0.0
+    assert ordered_sum(np.zeros(0)) == 0.0
 
 
 def test_norm2_basic_values():
