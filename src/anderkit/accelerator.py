@@ -39,6 +39,8 @@ class WindowEntry(NamedTuple):
     x: np.ndarray
     gx: np.ndarray
     f: np.ndarray
+    # ||f||_2, computed once when the entry is pushed.
+    f_norm: float
 
 
 class WindowMeter:
@@ -89,7 +91,8 @@ class HistoryWindow:
     """Sliding window over the last `capacity` iterate triples.
 
     Pushing beyond capacity evicts the oldest entry. All vectors in a
-    window share one dimension; single-writer use is assumed.
+    window share one dimension; single-writer use is assumed. Each entry
+    also carries f_norm = ||f||_2, so no reader recomputes it.
 
     Besides the entries, the window holds the p = len - 1 consecutive
     differences dx_i = x_{i+1} - x_i and df_i = f_{i+1} - f_i, oldest
@@ -132,7 +135,8 @@ class HistoryWindow:
                 f"dimension {x.shape[0]} does not match window dimension "
                 f"{self.entries[0].x.shape[0]}"
             )
-        entry = WindowEntry(x, gx, gx - x)
+        f = gx - x
+        entry = WindowEntry(x, gx, f, norm2(f))
         prev = self.entries[-1] if self.entries else None
         full = len(self.entries) == self.capacity
         self.entries.append(entry)
@@ -296,7 +300,6 @@ class MixingResult:
 class StepDiagnostics:
     """Per-step record attached to each produced iterate."""
 
-    alpha: np.ndarray
     beta: float | None
     theta: float
     alpha_sum: float
@@ -319,7 +322,7 @@ def solve_mixing_coefficients(window: HistoryWindow) -> MixingResult:
     p = len(window) - 1
     if p == 0:
         return MixingResult(
-            alpha=np.array([1.0]), x_avg=newest.x, gx_avg=newest.gx, mixed_norm=norm2(newest.f)
+            alpha=np.array([1.0]), x_avg=newest.x, gx_avg=newest.gx, mixed_norm=newest.f_norm
         )
     if window.factor is not None:
         q, r = window.factor
@@ -386,7 +389,7 @@ def aa_step(
     and at the averaged g-image); the other policies spend none.
     """
     mix = solve_mixing_coefficients(window)
-    fk_norm = norm2(window.newest().f)
+    fk_norm = window.newest().f_norm
     theta = mix.mixed_norm / fk_norm if fk_norm > 0.0 else 0.0
     extra = 0
 
@@ -407,7 +410,6 @@ def aa_step(
     if not np.all(np.isfinite(x_next)):
         raise DivergedError("next iterate left the finite range")
     diag = StepDiagnostics(
-        alpha=mix.alpha,
         beta=beta,
         theta=theta,
         alpha_sum=mix.alpha_sum,

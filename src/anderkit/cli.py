@@ -120,16 +120,16 @@ class _SpecParser:
         if self.eat("picard"):
             node: AcceleratorSpec = Picard()
         elif self.eat("AAoptD("):
-            node = self._windowed(DampingPolicy.optimized(), start)
+            node = self._windowed(DampingPolicy.optimized())
         elif self.eat("AA("):
-            node = self._windowed(DampingPolicy.none(), start)
+            node = self._windowed(DampingPolicy.none())
         elif self.eat("ADD("):
             node = self._additive(start)
         else:
             self.fail("expected 'picard', 'AA(', 'AAoptD(' or 'ADD('")
         return self._suffixes(node)
 
-    def _windowed(self, policy: DampingPolicy, start: int) -> AcceleratorSpec:
+    def _windowed(self, policy: DampingPolicy) -> AcceleratorSpec:
         m = int(self.match(_INT_RE, "window size"))
         inner = None
         if self.eat(","):

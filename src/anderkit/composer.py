@@ -7,7 +7,10 @@ hands its result to a freshly started inner accelerator for iter_n steps.
 
 Each spec node steps itself: step(window, g) reads the newest `depth` slots
 of the shared window, and `memory` is the peak history slots live while it
-steps (its depth plus the largest window it opens for one step).
+steps (its depth plus the largest window it opens for one step). A step
+returns one flat record holding the next iterate and the fields of its trace
+row. `_advance` is the only place that evaluates g on a produced iterate,
+checks that the image is finite and pushes the pair onto a window.
 """
 
 from __future__ import annotations
@@ -22,12 +25,13 @@ from .accelerator import (
     DampingPolicy,
     DivergedError,
     HistoryWindow,
-    StepDiagnostics,
+    WindowEntry,
     WindowMeter,
     aa_step,
 )
 from .diagnostics import ConvergenceTrace, Termination, TraceRow
-from .kernel import norm2
+# Unused since each push computes its entry's norm; bench/spans.py rebinds it.
+from .kernel import norm2  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -59,7 +63,9 @@ class AA:
 
     def step(self, window: HistoryWindow, g) -> _StepOutcome:
         x_next, diag = aa_step(window.tail(self.depth), self.damping, g)
-        return _StepOutcome(x_next, None, diag, [(diag.theta, diag.alpha_sum)])
+        return _StepOutcome(
+            x_next, None, diag.beta, diag.theta, diag.alpha_abs_sum, ((diag.theta, diag.alpha_sum),)
+        )
 
 
 _PLAIN = AA(0)
@@ -69,8 +75,8 @@ _PLAIN = AA(0)
 class Additive:
     """Convex blend of two accelerator steps over one shared history.
 
-    The trace row carries the left component's mixing coefficients, the
-    larger of the two gains, and no single beta.
+    The trace row carries the larger of the two gains and of the two
+    ||alpha||_1, both branches' mixing checks, and no single beta.
     """
 
     left: "AcceleratorSpec"
@@ -100,16 +106,9 @@ class Additive:
         x_next = self.w_left * lo.x_next + self.w_right * ro.x_next
         if not np.all(np.isfinite(x_next)):
             raise DivergedError("blended iterate left the finite range")
-        worst_sum = max((lo.diag.alpha_sum, ro.diag.alpha_sum), key=lambda s: abs(s - 1.0))
-        diag = StepDiagnostics(
-            alpha=lo.diag.alpha,
-            beta=None,
-            theta=max(lo.diag.theta, ro.diag.theta),
-            alpha_sum=worst_sum,
-            alpha_abs_sum=max(lo.diag.alpha_abs_sum, ro.diag.alpha_abs_sum),
-            extra_fevals=lo.diag.extra_fevals + ro.diag.extra_fevals,
-        )
-        return _StepOutcome(x_next, None, diag, lo.checks + ro.checks)
+        theta = max(lo.theta, ro.theta)
+        abs_sum = max(lo.alpha_abs_sum, ro.alpha_abs_sum)
+        return _StepOutcome(x_next, None, None, theta, abs_sum, lo.checks + ro.checks)
 
 
 @dataclass(frozen=True)
@@ -141,43 +140,22 @@ class Multiplicative:
         oo = self.outer.step(window, g)
         if self.iter_n == 0:
             return oo
-        checks = list(oo.checks)
-        spent = oo.diag.extra_fevals
+        checks = oo.checks
+        inner_theta = None
         inner_window = HistoryWindow(self.inner.depth, window.meter)
         try:
-            x_cur = oo.x_next
-            gx_cur = g(x_cur)
-            spent += 1
-            if not np.all(np.isfinite(gx_cur)):
-                raise DivergedError("inner seed evaluation left the finite range")
-            inner_window.push(x_cur, gx_cur)
-            inner_theta = None
+            entry = _advance(inner_window, oo.x_next, None, g)
             for _ in range(self.iter_n):
                 io = self.inner.step(inner_window, g)
                 if inner_theta is None:
-                    inner_theta = io.diag.theta
-                checks.extend(io.checks)
-                spent += io.diag.extra_fevals
-                x_cur = io.x_next
-                if io.gx_next is not None:
-                    gx_cur = io.gx_next
-                else:
-                    gx_cur = g(x_cur)
-                    spent += 1
-                if not np.all(np.isfinite(gx_cur)):
-                    raise DivergedError("inner evaluation left the finite range")
-                inner_window.push(x_cur, gx_cur)
+                    inner_theta = io.theta
+                checks += io.checks
+                entry = _advance(inner_window, io.x_next, io.gx_next, g)
         finally:
             inner_window.close()
-        diag = StepDiagnostics(
-            alpha=oo.diag.alpha,
-            beta=oo.diag.beta,
-            theta=oo.diag.theta,
-            alpha_sum=oo.diag.alpha_sum,
-            alpha_abs_sum=oo.diag.alpha_abs_sum,
-            extra_fevals=spent,
+        return _StepOutcome(
+            entry.x, entry.gx, oo.beta, oo.theta, oo.alpha_abs_sum, checks, inner_theta
         )
-        return _StepOutcome(x_cur, gx_cur, diag, checks, inner_theta=inner_theta)
 
 
 AcceleratorSpec = Union[Picard, AA, Additive, Multiplicative]
@@ -215,13 +193,35 @@ class CountingMap:
         return self.fn(x)
 
 
-@dataclass
+@dataclass(slots=True)
 class _StepOutcome:
+    """One step's next iterate and the fields of its trace row.
+
+    gx_next is g(x_next) when the step has already evaluated it, else None.
+    checks holds one (theta, alpha_sum) pair per mixing event, in order.
+    """
+
     x_next: np.ndarray
     gx_next: np.ndarray | None
-    diag: StepDiagnostics
-    checks: list
+    beta: float | None
+    theta: float
+    alpha_abs_sum: float
+    checks: tuple
     inner_theta: float | None = None
+
+
+def _advance(window: HistoryWindow, x: np.ndarray, gx, g) -> WindowEntry:
+    """Push (x, g(x)) onto window and return the new entry.
+
+    g(x) is evaluated when gx is None. A non-finite image raises
+    DivergedError before anything is pushed.
+    """
+    if gx is None:
+        gx = g(x)
+    if not np.all(np.isfinite(gx)):
+        raise DivergedError("evaluation left the finite range")
+    window.push(x, gx)
+    return window.newest()
 
 
 def run(
@@ -255,17 +255,15 @@ def run(
     rows: list[TraceRow] = []
     termination: Termination | None = None
 
-    gx = g(x)
-    if not np.all(np.isfinite(gx)):
+    try:
+        res0 = _advance(window, x, None, g).f_norm
+    except DivergedError:
         termination = Termination.DIVERGED
     else:
-        window.push(x, gx)
-        res = norm2(window.newest().f)
-        res0 = res
         rows.append(
-            TraceRow(k=0, fevals=g.calls, res_norm=res, wall_ns=time.perf_counter_ns() - start)
+            TraceRow(k=0, fevals=g.calls, res_norm=res0, wall_ns=time.perf_counter_ns() - start)
         )
-        if res <= config.tol:
+        if res0 <= config.tol:
             termination = Termination.CONVERGED
 
     k = 0
@@ -278,27 +276,22 @@ def run(
             break
         try:
             out = spec.step(window, g)
-            gx = out.gx_next if out.gx_next is not None else g(out.x_next)
-            if not np.all(np.isfinite(gx)):
-                raise DivergedError("evaluation left the finite range")
+            res = _advance(window, out.x_next, out.gx_next, g).f_norm
         except DivergedError:
             termination = Termination.DIVERGED
             break
-        window.push(out.x_next, gx)
-        res = norm2(window.newest().f)
         k += 1
         rows.append(
             TraceRow(
                 k=k,
                 fevals=g.calls,
                 res_norm=res,
-                beta=out.diag.beta,
-                theta=out.diag.theta,
-                alpha_abs_sum=out.diag.alpha_abs_sum,
+                beta=out.beta,
+                theta=out.theta,
+                alpha_abs_sum=out.alpha_abs_sum,
                 wall_ns=time.perf_counter_ns() - start,
-                alpha_sum=out.diag.alpha_sum,
                 inner_theta=out.inner_theta,
-                mixing_checks=tuple(out.checks),
+                mixing_checks=out.checks,
             )
         )
         if res <= config.tol:

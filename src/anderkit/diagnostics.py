@@ -22,8 +22,9 @@ class Termination(str, Enum):
 class TraceRow:
     """One outer iterate. Optional fields are absent on the seed row.
 
-    alpha_sum, inner_theta and mixing_checks are in-memory audit fields;
-    only the seven named trace columns are serialized.
+    inner_theta and mixing_checks, one (theta, alpha_sum) pair per mixing
+    event, are in-memory audit fields; only the seven named trace columns
+    are serialized.
     """
 
     k: int
@@ -33,7 +34,6 @@ class TraceRow:
     theta: float | None = None
     alpha_abs_sum: float | None = None
     wall_ns: int = 0
-    alpha_sum: float | None = None
     inner_theta: float | None = None
     mixing_checks: tuple = ()
 

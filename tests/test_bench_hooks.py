@@ -5,7 +5,7 @@ from pathlib import Path
 
 from anderkit import composer
 from anderkit.accelerator import DampingPolicy
-from anderkit.composer import AA, Additive, Multiplicative, RunConfig
+from anderkit.composer import AA, Additive, Multiplicative, Picard, RunConfig
 from anderkit.problems import tridiag_problem
 
 _SPANS_PATH = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
@@ -62,3 +62,21 @@ def test_traced_solve_calls_least_squares_once_per_windowed_step():
             trace = composer.run(spec, twin, twin.default_start, RunConfig(tol=1e-300, max_iters=10))
         assert trace.iters == 10
         assert tracer.layer("kernel.least_squares").calls == solves_per_step * (trace.iters - 1)
+
+
+def test_traced_solve_computes_each_residual_norm_once():
+    # Every push stores its entry's norm, and nothing else recomputes it: the
+    # run loop and aa_step's gain read it back. The only other norm is the
+    # mixed residual of a windowed step, at every step but the first, whose
+    # window holds a single entry (p = 0).
+    spans = _load_spans()
+    problem = tridiag_problem(30)
+    for spec, mixed_per_step in ((Picard(), 0), (AA(3), 1)):
+        tracer = spans.Tracer()
+        with spans.instrumented(tracer, [problem]) as traced:
+            twin = traced[id(problem)]
+            trace = composer.run(spec, twin, twin.default_start, RunConfig(tol=1e-300, max_iters=10))
+        assert trace.iters == 10
+        pushes = trace.iters + 1
+        want = pushes + mixed_per_step * (trace.iters - 1)
+        assert tracer.layer("kernel.reductions").calls == want, spec

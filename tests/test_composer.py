@@ -296,6 +296,64 @@ def test_multiplicative_rows_record_inner_theta():
     assert all(r.inner_theta is None for r in plain.rows)
 
 
+def _check(diag):
+    return (diag.theta, diag.alpha_sum)
+
+
+def test_additive_row_fields_take_the_larger_branch_values():
+    from anderkit.accelerator import HistoryWindow, aa_step
+
+    p = affine_problem(seed=19)
+    trace = run(Additive(AA(2), AA(1)), p, p.default_start, RunConfig(tol=1e-300, max_iters=5))
+    w = HistoryWindow(3)
+    w.push(p.default_start, p.g(p.default_start))
+    theta_from_right = False
+    for row in trace.rows[1:]:
+        left, dl = aa_step(w.tail(3), DampingPolicy.none(), p.g)
+        right, dr = aa_step(w.tail(2), DampingPolicy.none(), p.g)
+        x = 0.5 * left + 0.5 * right
+        w.push(x, p.g(x))
+        assert row.beta is None
+        assert row.theta == pytest.approx(max(dl.theta, dr.theta), rel=1e-12)
+        assert row.alpha_abs_sum == pytest.approx(max(dl.alpha_abs_sum, dr.alpha_abs_sum), rel=1e-12)
+        want = [_check(dl), _check(dr)]
+        assert np.array(row.mixing_checks) == pytest.approx(np.array(want), rel=1e-12)
+        assert row.inner_theta is None
+        theta_from_right |= dr.theta > dl.theta
+    # the branches disagree, so taking one side's values would be caught
+    assert theta_from_right and dl.alpha_abs_sum != dr.alpha_abs_sum
+
+
+def test_multiplicative_row_fields_come_from_the_outer_step():
+    from anderkit.accelerator import HistoryWindow, aa_step
+
+    p = affine_problem(seed=20)
+    outer_policy = DampingPolicy.optimized()
+    spec = Multiplicative(AA(2, outer_policy), AA(1), iter_n=2)
+    trace = run(spec, p, p.default_start, RunConfig(tol=1e-300, max_iters=5))
+    w = HistoryWindow(3)
+    w.push(p.default_start, p.g(p.default_start))
+    for row in trace.rows[1:]:
+        x, do = aa_step(w.tail(3), outer_policy, p.g)
+        inner = HistoryWindow(2)
+        inner.push(x, p.g(x))
+        inner_diags = []
+        for _ in range(2):
+            x, di = aa_step(inner.tail(2), DampingPolicy.none(), p.g)
+            inner.push(x, p.g(x))
+            inner_diags.append(di)
+        w.push(x, p.g(x))
+        assert row.beta == pytest.approx(do.beta, rel=1e-12)
+        assert row.theta == pytest.approx(do.theta, rel=1e-12)
+        assert row.alpha_abs_sum == pytest.approx(do.alpha_abs_sum, rel=1e-12)
+        # outer event first, then the inner ones in order
+        want = [_check(do)] + [_check(d) for d in inner_diags]
+        assert np.array(row.mixing_checks) == pytest.approx(np.array(want), rel=1e-12)
+        # the first inner step, on the seed entry alone, not the second
+        assert row.inner_theta == inner_diags[0].theta == 1.0
+        assert inner_diags[1].theta != 1.0
+
+
 def test_additive_weights_blend_the_two_steps():
     p = affine_problem(seed=15)
     cfg = RunConfig(tol=1e-300, max_iters=1)
