@@ -11,8 +11,13 @@ x_k - dX gamma and f_k - dF gamma, and alpha follows by differencing gamma.
 Because each push only appends one difference column and, once the window
 is full, drops the oldest, the window keeps a thin QR factor of dF up to
 date by column updates instead of refactoring the whole block every step.
-The pivoted solve on the small triangle still decides the rank; a window
-whose differences are dependent solves on the stacked block instead.
+The difference columns live in mirrored ring buffers: each is written at
+its ring row and again one ring length further down, so the live block,
+oldest first, is always one contiguous slice. The pivoted solve on the
+small triangle still decides the rank; a window whose differences cannot
+be factored solves on the stacked block instead and retries the factor on
+its next push. A tail of a window is a read-only view that slices the same
+buffers, valid until the window's next push.
 """
 
 from __future__ import annotations
@@ -95,11 +100,13 @@ class HistoryWindow:
     also carries f_norm = ||f||_2, so no reader recomputes it.
 
     Besides the entries, the window holds the p = len - 1 consecutive
-    differences dx_i = x_{i+1} - x_i and df_i = f_{i+1} - f_i, oldest
-    first, in ring buffers of capacity - 1 rows, and a thin QR factor of
-    the df block. The factor is None while a dependent column (or more
-    columns than unknowns) sits in the window; it is rebuilt once that
-    column has been evicted.
+    differences dx_i = x_{i+1} - x_i and df_i = f_{i+1} - f_i in ring
+    buffers of capacity - 1 slots. Each column is written twice, at ring
+    row r and at r + capacity - 1, so the live columns, oldest first, are
+    always the contiguous rows [_head, _head + p) and every reader takes a
+    slice. The window also keeps a thin QR factor of the df block. factor
+    is None when the block cannot be factored now (a dependent column, or
+    more columns than unknowns); it is retried on every push.
     """
 
     def __init__(self, capacity: int, meter: WindowMeter | None = None):
@@ -109,13 +116,11 @@ class HistoryWindow:
         self.entries: deque[WindowEntry] = deque(maxlen=capacity)
         self.meter = meter
         self._closed = False
-        # Row (_head + i) % (capacity - 1) holds difference column i.
+        # Difference column i sits in rows _head + i of _dx and _df.
         self._dx: np.ndarray | None = None
         self._df: np.ndarray | None = None
         self._head = 0
         self.factor: tuple[np.ndarray, np.ndarray] | None = None
-        # While factor is None: evictions left before it can be rebuilt.
-        self._blocked = 0
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -149,19 +154,17 @@ class HistoryWindow:
     def _append_difference(self, prev: WindowEntry, entry: WindowEntry, evict: bool) -> None:
         slots = self.capacity - 1
         if self._dx is None:
-            self._dx = np.empty((slots, entry.x.shape[0]))
+            self._dx = np.empty((2 * slots, entry.x.shape[0]))
             self._df = np.empty_like(self._dx)
         p = len(self.entries) - 1
         if evict:
             self._head = (self._head + 1) % slots
         row = (self._head + p - 1) % slots
-        np.subtract(entry.x, prev.x, out=self._dx[row])
-        np.subtract(entry.f, prev.f, out=self._df[row])
+        for buf, new, old in ((self._dx, entry.x, prev.x), (self._df, entry.f, prev.f)):
+            np.subtract(new, old, out=buf[row])
+            buf[row + slots] = buf[row]
         if self.factor is None:
-            if evict:
-                self._blocked -= 1
-            if self._blocked <= 0:
-                self._refactor()
+            self._refactor()
             return
         q, r = self.factor
         if evict:
@@ -173,57 +176,46 @@ class HistoryWindow:
                 self._refactor()
                 return
         self.factor = _qr_append(q, r, self._df[row])
-        if self.factor is None:
-            self._blocked = p
 
     def _refactor(self) -> None:
         """Factor the df block from scratch, one column at a time."""
         block = self.differences()[1]
         factor = (np.empty((block.shape[1], 0), order="F"), np.empty((0, 0)))
-        for i, col in enumerate(block):
+        for col in block:
             factor = _qr_append(*factor, col)
             if factor is None:
-                self._blocked = i + 1
                 break
         self.factor = factor
 
     def differences(self) -> tuple[np.ndarray, np.ndarray]:
-        """The (dx, df) blocks as p x n arrays, oldest column first."""
-        p = max(len(self.entries) - 1, 0)
-        if self._head:
-            return (np.roll(self._dx, -self._head, axis=0),
-                    np.roll(self._df, -self._head, axis=0))
+        """The (dx, df) blocks as p x n views, oldest column first."""
         if self._dx is None:
             empty = np.empty((0, self.entries[-1].x.shape[0] if self.entries else 0))
             return empty, empty
-        return self._dx[:p], self._df[:p]
+        live = slice(self._head, self._head + len(self.entries) - 1)
+        return self._dx[live], self._df[live]
 
     def combine(self, gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(dX gamma, dF gamma) for gamma over the columns, oldest first."""
-        if self._head:
-            # Ring order: row _head holds the oldest column.
-            cut = gamma.shape[0] - self._head
-            gamma = np.concatenate((gamma[cut:], gamma[:cut]))
-            return gamma @ self._dx, gamma @ self._df
-        p = gamma.shape[0]
-        return gamma @ self._dx[:p], gamma @ self._df[:p]
+        dx, df = self.differences()
+        return gamma @ dx, gamma @ df
 
     def tail(self, k: int) -> "HistoryWindow":
         """Read-only view of the newest min(k, len) entries, unmetered.
 
-        With k >= len the view is the window itself, factor included.
+        With k >= len the view is the window itself, factor included. A
+        smaller view has no factor and shares the window's difference rows,
+        so it is valid only until the window's next push.
         """
         if k < 1:
             raise ValueError(f"tail size must be >= 1, got {k}")
-        n_entries = len(self.entries)
-        if k >= n_entries:
+        if k >= len(self.entries):
             return self
         view = HistoryWindow(k)
         view.entries.extend(list(self.entries)[-k:])
         if k > 1:
-            rows = (self._head + np.arange(n_entries - k, n_entries - 1)) % (self.capacity - 1)
-            view._dx = self._dx[rows]
-            view._df = self._df[rows]
+            dx, df = self.differences()
+            view._dx, view._df = dx[1 - k:], df[1 - k:]
         return view
 
     def newest(self) -> WindowEntry:

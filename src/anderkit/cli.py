@@ -32,6 +32,7 @@ scheme), tridiag (n). Command line flags win over file values.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import json
 import re
@@ -55,7 +56,13 @@ from .composer import (
 )
 from .diagnostics import Termination, memory_footprint, write_trace_csv
 from .kernel import norm2
-from .problems import bratu_problem, convdiff_problem, gmres_reference, tridiag_problem
+from .problems import (
+    FixedPointProblem,
+    bratu_problem,
+    convdiff_problem,
+    gmres_reference,
+    tridiag_problem,
+)
 
 SUMMARY_COLUMNS = ("label", "termination", "iters", "fevals", "final_res", "wall_ns", "memory_vectors")
 
@@ -357,27 +364,26 @@ def run_experiment(config: ExperimentConfig):
     out.mkdir(parents=True, exist_ok=True)
 
     results = []
-    summary_lines = [",".join(SUMMARY_COLUMNS)]
+    summary_rows = [SUMMARY_COLUMNS]
     for _, spec in specs:
         label = render_spec(spec)
         trace = run(spec, problem, problem.default_start, config.run_config)
         scale = presentation_scale(spec) if config.paper_style_iters else 1
         write_trace_csv(trace, out / f"{label}.csv", iter_scale=scale)
-        summary_lines.append(
-            ",".join(
-                [
-                    label,
-                    trace.termination.value,
-                    str(trace.iters),
-                    str(trace.fevals),
-                    f"{trace.final_res:.17g}",
-                    str(trace.rows[-1].wall_ns if trace.rows else 0),
-                    str(memory_footprint(spec)),
-                ]
+        summary_rows.append(
+            (
+                label,
+                trace.termination.value,
+                trace.iters,
+                trace.fevals,
+                f"{trace.final_res:.17g}",
+                trace.rows[-1].wall_ns if trace.rows else 0,
+                memory_footprint(spec),
             )
         )
         results.append((label, trace))
-    (out / "summary.csv").write_text("\n".join(summary_lines) + "\n", encoding="utf-8")
+    with open(out / "summary.csv", "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(summary_rows)
     return results
 
 
@@ -438,8 +444,6 @@ def _check_grammar_roundtrip():
 
 
 def _affine_problem(mat: np.ndarray, offset: np.ndarray):
-    from .problems import FixedPointProblem
-
     return FixedPointProblem(
         n=offset.shape[0],
         g=lambda x: mat @ x + offset,

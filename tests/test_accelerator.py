@@ -70,6 +70,19 @@ def test_window_tail_reuses_itself_and_copies_newest_differences():
     assert np.allclose(solve_mixing_coefficients(t).alpha, solve_mixing_coefficients(fresh).alpha, atol=1e-14)
 
 
+def test_wrapped_window_and_its_tails_hold_the_differences_of_their_entries():
+    rng = np.random.default_rng(9)
+    w = HistoryWindow(5)
+    for _ in range(14):  # more than three trips around the 4-slot ring
+        x = rng.standard_normal(7)
+        w.push(x, x + rng.standard_normal(7))
+        for view in [w] + [w.tail(k) for k in range(1, len(w))]:
+            entries = list(view)
+            dx, df = view.differences()
+            assert np.array_equal(dx, np.diff([e.x for e in entries], axis=0).reshape(-1, 7))
+            assert np.array_equal(df, np.diff([e.f for e in entries], axis=0).reshape(-1, 7))
+
+
 def test_meter_tracks_fill_and_peak():
     meter = WindowMeter()
     w = HistoryWindow(3, meter)
@@ -265,6 +278,27 @@ def test_dependent_differences_take_stacked_fallback():
         x = rng.integers(-9, 10, 5).astype(float)
         w.push(x, x + f)
     _check_fallback(w, same_averages=False)
+
+
+def test_dependent_differences_regain_the_factor_once_the_block_factors():
+    # the setup above: df_2 = 2 df_0 leaves the window without a factor
+    rng = np.random.default_rng(34)
+    d = rng.integers(-5, 6, 5).astype(float)
+    e = rng.integers(-5, 6, 5).astype(float)
+    f = rng.integers(-5, 6, 5).astype(float)
+    w = HistoryWindow(4)
+    for step in (np.zeros(5), d, e, 2.0 * d):
+        f = f + step
+        x = rng.integers(-9, 10, 5).astype(float)
+        w.push(x, x + f)
+    assert w.factor is None
+    # the next push evicts df_0; [df_1, df_2, df_3] factors again at once
+    x = rng.standard_normal(5)
+    w.push(x, x + f + rng.standard_normal(5))
+    assert w.factor is not None
+    q, r = w.factor
+    block = w.differences()[1].T
+    assert q.shape == (5, 3) and np.allclose(q @ r, block, rtol=0.0, atol=1e-12)
 
 
 def test_scalar_window_deeper_than_its_dimension_takes_stacked_fallback():

@@ -1,5 +1,7 @@
 """Solver grammar, experiment configs, csv outputs, exit codes."""
 
+import csv
+import io
 import json
 
 import numpy as np
@@ -240,6 +242,23 @@ def test_run_experiment_writes_per_solver_and_summary(tmp_path):
     assert aa_line[0] == "AA(25)"
     assert aa_line[1] == "converged"
     assert aa_line[6] == "26"  # m+1 history vectors
+
+
+def test_summary_quotes_composite_labels(tmp_path):
+    config = ExperimentConfig(
+        problem_kind="tridiag",
+        problem_params={"n": 12},
+        solvers=["ADD(AA(3),AA(1))", "AA(2,AA(1));iterN=2", "AA(3)"],
+        run_config=RunConfig(tol=1e-8, max_iters=50),
+        output=tmp_path / "out",
+    )
+    run_experiment(config)
+    text = (tmp_path / "out" / "summary.csv").read_text(encoding="utf-8")
+    rows = list(csv.reader(io.StringIO(text)))
+    assert all(len(row) == 7 for row in rows)
+    assert [row[0] for row in rows[1:]] == ["ADD(AA(3),AA(1))", "AA(2,AA(1));iterN=2", "AA(3)"]
+    # a label without a comma is written as before, unquoted
+    assert text.splitlines()[3].startswith("AA(3),")
 
 
 def test_run_experiment_is_deterministic_modulo_walltime(tmp_path):
