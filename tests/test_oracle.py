@@ -118,18 +118,13 @@ PROBLEMS = {
 }
 
 
-def _recorded(problem):
+def _check_against_reference(spec, problem):
     calls = []
 
     def g(x):
         calls.append(np.array(x, copy=True))
         return problem.g(x)
 
-    return calls, g
-
-
-def _check_against_reference(spec, problem):
-    calls, g = _recorded(problem)
     traced = FixedPointProblem(problem.n, g, problem.label, problem.default_start)
     meter = WindowMeter()
     cfg = RunConfig(tol=1e-300, max_iters=STEPS, divergence_factor=1e300)
@@ -202,8 +197,10 @@ def test_two_runs_in_one_process_give_identical_rows():
 
     def rows():
         trace = run(spec, problem, problem.default_start, cfg)
-        return [(r.k, r.fevals, r.res_norm, r.beta, r.theta, r.alpha_abs_sum, r.inner_theta, r.mixing_checks)
-                for r in trace.rows]
+        return [
+            (r.k, r.fevals, r.res_norm, r.beta, r.theta, r.alpha_abs_sum, r.inner_theta, r.mixing_checks)
+            for r in trace.rows
+        ]
 
     first = rows()
     assert len(first) == STEPS + 1 and repr(first) == repr(rows())
