@@ -64,32 +64,32 @@ class WindowMeter:
         self.current -= k
 
 
-def _qr_append(q: np.ndarray, r: np.ndarray, u: np.ndarray):
-    """Thin QR of [A u] from the thin QR (q, r) of A, or None.
+def _qr_append(q: np.ndarray, r: np.ndarray, k: int, u: np.ndarray) -> bool:
+    """Extend the thin QR in q[:, :k], r[:k, :k] by the column u, in place.
 
-    Classical Gram-Schmidt with one reorthogonalization pass. None means
-    the factor cannot take u: u is zero, non-finite or within RANK_TOL of
-    the span of A, or the result would have no fewer columns than rows.
+    Classical Gram-Schmidt with one reorthogonalization pass; the new
+    column goes to q[:, k] and r[:k + 1, k]. Returns False, leaving the
+    first k columns as they were, when the factor cannot take u: u is
+    zero, non-finite or within RANK_TOL of the span of the k columns, or
+    the result would have no fewer columns than q has rows.
     """
-    n, p = q.shape
-    if p + 1 >= n:
-        return None
-    c = q.T @ u
-    v = u - q @ c
-    c2 = q.T @ v
-    v -= q @ c2
+    n = q.shape[0]
+    if k + 1 >= n:
+        return False
+    qk = q[:, :k]
+    c = qk.T @ u
+    v = u - qk @ c
+    c2 = qk.T @ v
+    v -= qk @ c2
     rho = np.sqrt(v @ v)
     # Written so that a NaN (from a non-finite u) also refuses the column.
     if not rho > RANK_TOL * np.sqrt(u @ u):
-        return None
-    q_new = np.empty((n, p + 1), order="F")
-    q_new[:, :p] = q
-    np.divide(v, rho, out=q_new[:, p])
-    r_new = np.zeros((p + 1, p + 1))
-    r_new[:p, :p] = r
-    r_new[:p, p] = c + c2
-    r_new[p, p] = rho
-    return q_new, r_new
+        return False
+    np.divide(v, rho, out=q[:, k])
+    r[:k, k] = c + c2
+    r[k, :k] = 0.0
+    r[k, k] = rho
+    return True
 
 
 class HistoryWindow:
@@ -107,6 +107,11 @@ class HistoryWindow:
     slice. The window also keeps a thin QR factor of the df block. factor
     is None when the block cannot be factored now (a dependent column, or
     more columns than unknowns); it is retried on every push.
+
+    The factor lives in storage allocated with the ring buffers: _q, an
+    n x (capacity - 1) Fortran-ordered array, and _r, its square triangle.
+    Each push downdates and extends them in place, so factor is a pair of
+    views of their leading p columns, valid until the window's next push.
     """
 
     def __init__(self, capacity: int, meter: WindowMeter | None = None):
@@ -120,6 +125,9 @@ class HistoryWindow:
         self._dx: np.ndarray | None = None
         self._df: np.ndarray | None = None
         self._head = 0
+        # The factor's storage; factor views its leading p columns.
+        self._q: np.ndarray | None = None
+        self._r: np.ndarray | None = None
         self.factor: tuple[np.ndarray, np.ndarray] | None = None
 
     def __len__(self) -> int:
@@ -154,8 +162,11 @@ class HistoryWindow:
     def _append_difference(self, prev: WindowEntry, entry: WindowEntry, evict: bool) -> None:
         slots = self.capacity - 1
         if self._dx is None:
-            self._dx = np.empty((2 * slots, entry.x.shape[0]))
+            n = entry.x.shape[0]
+            self._dx = np.empty((2 * slots, n))
             self._df = np.empty_like(self._dx)
+            self._q = np.empty((n, slots), order="F")
+            self._r = np.zeros((slots, slots))
         p = len(self.entries) - 1
         if evict:
             self._head = (self._head + 1) % slots
@@ -166,26 +177,30 @@ class HistoryWindow:
         if self.factor is None:
             self._refactor()
             return
-        q, r = self.factor
         if evict:
+            # Rotates the F-contiguous Q view and the R view in place.
             try:
-                q, r = scipy.linalg.qr_delete(
-                    q, r, 0, which="col", overwrite_qr=True, check_finite=False
+                scipy.linalg.qr_delete(
+                    *self.factor, 0, which="col", overwrite_qr=True, check_finite=False
                 )
             except scipy.linalg.LinAlgError:
                 self._refactor()
                 return
-        self.factor = _qr_append(q, r, self._df[row])
+        grown = _qr_append(self._q, self._r, p - 1, self._df[row])
+        self._set_factor(p if grown else None)
 
     def _refactor(self) -> None:
         """Factor the df block from scratch, one column at a time."""
         block = self.differences()[1]
-        factor = (np.empty((block.shape[1], 0), order="F"), np.empty((0, 0)))
-        for col in block:
-            factor = _qr_append(*factor, col)
-            if factor is None:
-                break
-        self.factor = factor
+        for k, col in enumerate(block):
+            if not _qr_append(self._q, self._r, k, col):
+                self._set_factor(None)
+                return
+        self._set_factor(len(block))
+
+    def _set_factor(self, p: int | None) -> None:
+        """Point factor at the leading p columns of the storage, or None."""
+        self.factor = None if p is None else (self._q[:, :p], self._r[:p, :p])
 
     def differences(self) -> tuple[np.ndarray, np.ndarray]:
         """The (dx, df) blocks as p x n views, oldest column first."""

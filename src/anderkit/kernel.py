@@ -6,12 +6,24 @@ reproducible across BLAS builds. least_squares is the pivoted-QR solve
 that decides the numerical rank of every mixing problem; the mixing solve
 hands it either the small triangular factor kept by the history window or,
 when that factor is unavailable, the stacked residual differences.
+
+least_squares calls LAPACK directly: dgeqp3 for the pivoted QR, dorgqr
+for Q and dtrtrs for the triangle, the same routines scipy.linalg.qr and
+solve_triangular run, without their per-call wrapper work. dtrtrs gets
+R^T with lower=1, trans=1, which is what solve_triangular passes for the
+C-ordered triangle it is given; a plain upper solve on R rounds
+differently. The optimal workspace sizes, which depend only on the block
+shape, are queried once per shape and cached. The finiteness check that
+check_finite made is kept: a non-finite matrix, or a non-finite Q^T rhs
+(which a non-finite rhs gives), raises ValueError.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
-import scipy.linalg
+from scipy.linalg import lapack
 
 # Columns whose pivot magnitude falls below this fraction of the largest
 # pivot are treated as rank-deficient and receive zero coefficients.
@@ -48,6 +60,20 @@ def norm2(v) -> float:
         return float(np.sqrt(ordered_sum(v * v)))
 
 
+@lru_cache(maxsize=128)
+def _lwork(n: int, p: int) -> tuple[int, int]:
+    """Optimal workspace sizes of dgeqp3 and dorgqr for an n x p block."""
+    probe = np.zeros((n, p), order="F")
+    geqp3 = lapack.dgeqp3(probe, lwork=-1)[-2]
+    orgqr = lapack.dorgqr(probe, np.zeros(p), lwork=-1)[-2]
+    return int(geqp3[0]), int(orgqr[0])
+
+
+def _check_info(info: int, routine: str) -> None:
+    if info != 0:
+        raise np.linalg.LinAlgError(f"{routine} returned info={info}")
+
+
 def least_squares(matrix, rhs) -> np.ndarray:
     """Minimize ||rhs - matrix @ w||_2 via QR with column pivoting.
 
@@ -55,7 +81,8 @@ def least_squares(matrix, rhs) -> np.ndarray:
     rank-deficient system returns the basic solution supported on the
     dominant columns (an all-zero matrix yields all-zero coefficients).
     """
-    a = np.asarray(matrix, dtype=float)
+    # A Fortran-ordered copy, which dgeqp3 factors in place.
+    a = np.array(matrix, dtype=float, order="F")
     b = _as_vector(rhs, "rhs")
     if a.ndim != 2:
         raise ValueError(f"matrix must be 2-D, got shape {a.shape}")
@@ -66,15 +93,27 @@ def least_squares(matrix, rhs) -> np.ndarray:
         raise ValueError(f"more columns than rows: {p} > {n}")
     if b.shape[0] != n:
         raise ValueError(f"rhs length {b.shape[0]} does not match {n} rows")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix must not contain infs or NaNs")
 
-    q, r, piv = scipy.linalg.qr(a, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    if diag.size == 0 or diag[0] == 0.0:
+    geqp3_lwork, orgqr_lwork = _lwork(n, p)
+    qr, piv, tau, _, info = lapack.dgeqp3(a, lwork=geqp3_lwork, overwrite_a=1)
+    _check_info(info, "dgeqp3")
+    # R is the upper triangle of qr[:p]; dtrtrs and diag read nothing else.
+    diag = np.abs(np.diag(qr))
+    if diag[0] == 0.0:
         return np.zeros(p)
     rank = int(np.count_nonzero(diag >= RANK_TOL * diag[0]))
+    # Copied out before dorgqr overwrites qr with Q.
+    r = qr[:rank, :rank].copy()
+    q, _, info = lapack.dorgqr(qr, tau, lwork=orgqr_lwork, overwrite_a=1)
+    _check_info(info, "dorgqr")
+    qtb = q.T[:rank] @ b
+    if not np.isfinite(qtb).all():
+        raise ValueError("rhs must not contain infs or NaNs")
+    z, info = lapack.dtrtrs(r.T, qtb, lower=1, trans=1)
+    _check_info(info, "dtrtrs")
     w = np.zeros(p)
-    if rank > 0:
-        qtb = q.T[:rank] @ b
-        z = scipy.linalg.solve_triangular(r[:rank, :rank], qtb, lower=False)
-        w[piv[:rank]] = z
+    # dgeqp3 numbers the pivot columns from 1.
+    w[piv[:rank] - 1] = z
     return w

@@ -87,7 +87,10 @@ class FixedPointProblem:
 
 
 def _neighbours(u2d: np.ndarray):
-    p = np.pad(u2d, 1)
+    # A zero border written by hand: np.pad costs about a quarter of g.
+    n0, n1 = u2d.shape
+    p = np.zeros((n0 + 2, n1 + 2))
+    p[1:-1, 1:-1] = u2d
     east = p[1:-1, 2:]
     west = p[1:-1, :-2]
     north = p[2:, 1:-1]
@@ -193,7 +196,8 @@ def tridiag_problem(n: int = 100) -> FixedPointProblem:
 
     def a_apply(x):
         x = np.asarray(x, dtype=float)
-        p = np.pad(x, 1)
+        p = np.zeros(n + 2)
+        p[1:-1] = x
         return 2.0 * x - p[:-2] - p[2:]
 
     def g(x):

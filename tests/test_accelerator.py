@@ -350,6 +350,25 @@ def test_updated_factor_stays_orthogonal_on_nearly_dependent_differences():
         assert np.linalg.norm(q @ r - block) <= 1e-10 * np.linalg.norm(block)
 
 
+def test_factor_is_updated_in_place_in_preallocated_storage():
+    rng = np.random.default_rng(88)
+    n = 200
+    w = HistoryWindow(8)
+    q_first = None
+    for _ in range(30):
+        x = rng.standard_normal(n)
+        w.push(x, x + rng.standard_normal(n))
+        if len(w) < 2:
+            continue
+        q, r = w.factor
+        if q_first is None:
+            q_first = q
+        assert np.shares_memory(q, q_first)
+        assert np.array_equal(r, np.triu(r))
+        block = w.differences()[1].T
+        assert np.allclose(q @ r, block, rtol=0.0, atol=1e-12)
+
+
 # ---- damping ----
 
 

@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from anderkit.kernel import dot, least_squares, norm2, ordered_sum
+from anderkit.kernel import RANK_TOL, dot, least_squares, norm2, ordered_sum
 
 
 def test_dot_matches_numpy_on_random_vectors():
@@ -126,3 +127,70 @@ def test_least_squares_input_validation():
         least_squares(np.ones((3, 0)), np.ones(3))  # empty
     with pytest.raises(ValueError):
         least_squares(np.ones((3, 2)), np.ones(4))  # rhs length
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_least_squares_rejects_non_finite_matrix_and_rhs(bad):
+    rng = np.random.default_rng(29)
+    mat = rng.standard_normal((6, 3))
+    rhs = rng.standard_normal(6)
+    broken = mat.copy()
+    broken[4, 1] = bad
+    with pytest.raises(ValueError):
+        least_squares(broken, rhs)
+    broken = rhs.copy()
+    broken[2] = bad
+    with pytest.raises(ValueError):
+        least_squares(mat, broken)
+
+
+def _scipy_least_squares(matrix, rhs):
+    # The wrapper-based solve the direct LAPACK calls replace.
+    q, r, piv = scipy.linalg.qr(matrix, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(r))
+    w = np.zeros(matrix.shape[1])
+    if diag[0] == 0.0:
+        return w
+    rank = int(np.count_nonzero(diag >= RANK_TOL * diag[0]))
+    z = scipy.linalg.solve_triangular(r[:rank, :rank], q.T[:rank] @ rhs, lower=False)
+    w[piv[:rank]] = z
+    return w
+
+
+def _kernel_cases():
+    rng = np.random.default_rng(31)
+
+    def scaled(n, p):
+        # Column scales down to 1e-14 make some systems drop columns.
+        return rng.standard_normal((n, p)) * 10.0 ** rng.integers(-14, 3, p)
+
+    for _ in range(100):
+        n = int(rng.integers(2, 80))
+        p = int(rng.integers(1, min(n, 21) + 1))
+        yield "tall", scaled(n, p), rng.standard_normal(n)
+    for _ in range(40):
+        p = int(rng.integers(1, 21))
+        tri = np.linalg.qr(scaled(p + 10, p))[1]
+        rhs = rng.standard_normal(p)
+        yield "triangle-c", np.ascontiguousarray(tri), rhs
+        yield "triangle-f", np.asfortranarray(tri), rhs
+        buf = np.zeros((p + 3, p + 3), order="F")
+        buf[:p, :p] = tri
+        yield "triangle-view", buf[:p, :p], rhs
+    for _ in range(60):
+        n = int(rng.integers(3, 60))
+        p = int(rng.integers(2, min(n, 12) + 1))
+        mat = scaled(n, p)
+        mat[:, int(rng.integers(p))] = mat[:, int(rng.integers(p))]
+        yield "repeated", mat, rng.standard_normal(n)
+    for n, p in ((1, 1), (4, 2), (30, 30)):
+        yield "zero", np.zeros((n, p)), rng.standard_normal(n)
+    for _ in range(20):
+        yield "1x1", rng.standard_normal((1, 1)) * 10.0 ** rng.integers(-5, 5), rng.standard_normal(1)
+
+
+def test_least_squares_is_bit_identical_to_the_scipy_wrapper_solve():
+    cases = list(_kernel_cases())
+    assert len(cases) >= 300
+    for kind, mat, rhs in cases:
+        assert np.array_equal(least_squares(mat, rhs), _scipy_least_squares(mat, rhs)), kind

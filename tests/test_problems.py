@@ -211,6 +211,57 @@ def test_tridiag_apply_matches_dense():
         assert np.allclose(a_apply(v), a @ v, rtol=1e-14, atol=1e-14)
 
 
+def _padded_g(problem):
+    """The problem's g with its stencil border made by np.pad."""
+    prm = problem.params
+    if problem.label == "tridiag":
+
+        def g(x):
+            p = np.pad(x, 1)
+            return x - ((2.0 * x - p[:-2] - p[2:]) - prm["b"]) / 2.0
+
+        return g
+    n_side, h = prm["N"], prm["h"]
+    h2 = h * h
+
+    def g(u):
+        u2d = u.reshape(n_side, n_side)
+        p = np.pad(u2d, 1)
+        east, west, north, south = p[1:-1, 2:], p[1:-1, :-2], p[2:, 1:-1], p[:-2, 1:-1]
+        lap = 4.0 * u2d - east - west - north - south
+        if problem.label == "bratu":
+            return u + (prm["lam"] * h2 * np.exp(u2d) - lap).ravel() / 4.0
+        if prm["scheme"] == "centered":
+            conv = 0.5 * h * (east - west + north - south)
+        else:
+            conv = h * (2.0 * u2d - west - south)
+        rhs = prm["rhs"].reshape(n_side, n_side)
+        resid = rhs - (prm["eps"] * lap + conv + prm["react"] * h2 * u2d * u2d)
+        return u + resid.ravel() / prm["operator_diag"]
+
+    return g
+
+
+@pytest.mark.parametrize(
+    "problem",
+    [
+        bratu_problem(7),
+        bratu_problem(16, lam=3.0),
+        convdiff_problem(7, eps=0.01, scheme="centered"),
+        convdiff_problem(16, eps=1.0, scheme="upwind"),
+        tridiag_problem(2),
+        tridiag_problem(50),
+    ],
+    ids=lambda prob: f"{prob.label}-{prob.n}",
+)
+def test_stencil_maps_equal_the_np_pad_reference_bit_for_bit(problem):
+    reference = _padded_g(problem)
+    rng = np.random.default_rng(37)
+    for _ in range(20):
+        u = rng.standard_normal(problem.n) * 10.0 ** rng.integers(-3, 2)
+        assert np.array_equal(problem.g(u), reference(u))
+
+
 # ---- gmres reference ----
 
 
