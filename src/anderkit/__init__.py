@@ -26,7 +26,6 @@ from .diagnostics import (
     Termination,
     TraceRow,
     contraction_audit,
-    memory_footprint,
     read_trace_rows,
     write_trace_csv,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "dot",
     "gmres_reference",
     "least_squares",
-    "memory_footprint",
     "norm2",
     "optimized_beta",
     "read_trace_rows",

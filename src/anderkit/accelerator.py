@@ -1,28 +1,29 @@
 """Anderson mixing core: iterate history, coefficient solves, damping.
 
-At iterate x_k with residual f_k = g(x_k) - x_k, a window holds the most
-recent p + 1 triples (x_i, g(x_i), f_i). The mixing coefficients alpha
-minimize ||sum_i alpha_i f_i||_2 subject to sum_i alpha_i = 1.
+At iterate x_k with residual f_k = g(x_k) - x_k, the mixing coefficients
+alpha over the window's p + 1 most recent iterates minimize
+||sum_i alpha_i f_i||_2 subject to sum_i alpha_i = 1.
 
 Following Walker & Ni (2011, section 4), the constraint is eliminated with
 the consecutive differences df_i = f_{i+1} - f_i, which span the same space
 as the f_i - f_k: gamma minimizes ||f_k - dF gamma||_2, the averages are
 x_k - dX gamma and f_k - dF gamma, and alpha follows by differencing gamma.
-Because each push only appends one difference column and, once the window
-is full, drops the oldest, the window keeps a thin QR factor of dF up to
-date by column updates instead of refactoring the whole block every step.
-The difference columns live in mirrored ring buffers: each is written at
-its ring row and again one ring length further down, so the live block,
-oldest first, is always one contiguous slice. The pivoted solve on the
-small triangle still decides the rank; a window whose differences cannot
-be factored solves on the stacked block instead and retries the factor on
-its next push. A tail of a window is a read-only view that slices the same
-buffers, valid until the window's next push.
+A window therefore holds only its newest (x_k, g(x_k), f_k) and the
+difference blocks dX and dF. Because each push only appends one difference
+column and, once the window is full, drops the oldest, the window keeps a
+thin QR factor of dF up to date by column updates instead of refactoring
+the whole block every step. The difference columns live in mirrored ring
+buffers: each is written at its ring row and again one ring length further
+down, so the live block, oldest first, is always one contiguous slice. The
+pivoted solve on the small triangle still decides the rank; a window whose
+differences cannot be factored solves on the stacked block instead and
+retries the factor on its next push. A tail of a window is a read-only view
+that slices the same buffers, valid until the window's next push; pushing
+onto it raises.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -93,13 +94,14 @@ def _qr_append(q: np.ndarray, r: np.ndarray, k: int, u: np.ndarray) -> bool:
 
 
 class HistoryWindow:
-    """Sliding window over the last `capacity` iterate triples.
+    """Sliding window over the last `capacity` iterates.
 
-    Pushing beyond capacity evicts the oldest entry. All vectors in a
-    window share one dimension; single-writer use is assumed. Each entry
-    also carries f_norm = ||f||_2, so no reader recomputes it.
+    Pushing beyond capacity evicts the oldest iterate. All vectors in a
+    window share one dimension; single-writer use is assumed. The window
+    keeps only its newest entry (x, g(x), f and f_norm = ||f||_2, computed
+    once so no reader recomputes it) and its length.
 
-    Besides the entries, the window holds the p = len - 1 consecutive
+    The older iterates live on only as the p = len - 1 consecutive
     differences dx_i = x_{i+1} - x_i and df_i = f_{i+1} - f_i in ring
     buffers of capacity - 1 slots. Each column is written twice, at ring
     row r and at r + capacity - 1, so the live columns, oldest first, are
@@ -118,9 +120,12 @@ class HistoryWindow:
         if capacity < 1:
             raise ValueError(f"window capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self.entries: deque[WindowEntry] = deque(maxlen=capacity)
         self.meter = meter
+        self._newest: WindowEntry | None = None
+        self._len = 0
         self._closed = False
+        # Set on the views tail() returns, which must not be pushed onto.
+        self._view = False
         # Difference column i sits in rows _head + i of _dx and _df.
         self._dx: np.ndarray | None = None
         self._df: np.ndarray | None = None
@@ -131,30 +136,29 @@ class HistoryWindow:
         self.factor: tuple[np.ndarray, np.ndarray] | None = None
 
     def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
+        return self._len
 
     def push(self, x, gx) -> "HistoryWindow":
+        if self._view:
+            raise ValueError("cannot push onto a tail view; push onto its window")
         x = np.asarray(x, dtype=float)
         gx = np.asarray(gx, dtype=float)
         if x.ndim != 1 or gx.shape != x.shape:
             raise ValueError(
                 f"push expects matching 1-D vectors, got {x.shape} and {gx.shape}"
             )
-        if self.entries and x.shape != self.entries[0].x.shape:
+        prev = self._newest
+        if prev is not None and x.shape != prev.x.shape:
             raise ValueError(
-                f"dimension {x.shape[0]} does not match window dimension "
-                f"{self.entries[0].x.shape[0]}"
+                f"dimension {x.shape[0]} does not match window dimension {prev.x.shape[0]}"
             )
         f = gx - x
-        entry = WindowEntry(x, gx, f, norm2(f))
-        prev = self.entries[-1] if self.entries else None
-        full = len(self.entries) == self.capacity
-        self.entries.append(entry)
-        if not full and self.meter is not None:
-            self.meter.acquire(1)
+        self._newest = entry = WindowEntry(x, gx, f, norm2(f))
+        full = self._len == self.capacity
+        if not full:
+            self._len += 1
+            if self.meter is not None:
+                self.meter.acquire(1)
         if prev is not None and self.capacity > 1:
             self._append_difference(prev, entry, evict=full)
         return self
@@ -167,7 +171,7 @@ class HistoryWindow:
             self._df = np.empty_like(self._dx)
             self._q = np.empty((n, slots), order="F")
             self._r = np.zeros((slots, slots))
-        p = len(self.entries) - 1
+        p = self._len - 1
         if evict:
             self._head = (self._head + 1) % slots
         row = (self._head + p - 1) % slots
@@ -205,9 +209,9 @@ class HistoryWindow:
     def differences(self) -> tuple[np.ndarray, np.ndarray]:
         """The (dx, df) blocks as p x n views, oldest column first."""
         if self._dx is None:
-            empty = np.empty((0, self.entries[-1].x.shape[0] if self.entries else 0))
+            empty = np.empty((0, self._newest.x.shape[0] if self._newest is not None else 0))
             return empty, empty
-        live = slice(self._head, self._head + len(self.entries) - 1)
+        live = slice(self._head, self._head + self._len - 1)
         return self._dx[live], self._df[live]
 
     def combine(self, gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -216,29 +220,30 @@ class HistoryWindow:
         return gamma @ dx, gamma @ df
 
     def tail(self, k: int) -> "HistoryWindow":
-        """Read-only view of the newest min(k, len) entries, unmetered.
+        """Read-only view of the newest min(k, len) iterates, unmetered.
 
         With k >= len the view is the window itself, factor included. A
-        smaller view has no factor and shares the window's difference rows,
-        so it is valid only until the window's next push.
+        smaller view has no factor, shares the window's newest entry and
+        difference rows, so it is valid only until the window's next push,
+        and refuses push itself.
         """
         if k < 1:
             raise ValueError(f"tail size must be >= 1, got {k}")
-        if k >= len(self.entries):
+        if k >= self._len:
             return self
         view = HistoryWindow(k)
-        view.entries.extend(list(self.entries)[-k:])
+        view._newest, view._len, view._view = self._newest, k, True
         if k > 1:
             dx, df = self.differences()
             view._dx, view._df = dx[1 - k:], df[1 - k:]
         return view
 
-    def newest(self) -> WindowEntry:
-        return self.entries[-1]
+    def newest(self) -> WindowEntry | None:
+        return self._newest
 
     def close(self) -> None:
         if self.meter is not None and not self._closed:
-            self.meter.release(len(self.entries))
+            self.meter.release(self._len)
         self._closed = True
 
 
@@ -303,15 +308,21 @@ class MixingResult:
         return ordered_sum(np.abs(self.alpha))
 
 
-@dataclass
-class StepDiagnostics:
-    """Per-step record attached to each produced iterate."""
+@dataclass(slots=True)
+class StepOutcome:
+    """One step's next iterate and the fields of its trace row.
 
+    gx_next is g(x_next) when the step has already evaluated it, else None.
+    checks holds one (theta, alpha_sum) pair per mixing event, in order.
+    """
+
+    x_next: np.ndarray
+    gx_next: np.ndarray | None
     beta: float | None
     theta: float
-    alpha_sum: float
     alpha_abs_sum: float
-    extra_fevals: int
+    checks: tuple
+    inner_theta: float | None = None
 
 
 def solve_mixing_coefficients(window: HistoryWindow) -> MixingResult:
@@ -323,7 +334,7 @@ def solve_mixing_coefficients(window: HistoryWindow) -> MixingResult:
     columns below RANK_TOL zero weight, so a degenerate window prefers the
     newest iterate. alpha = diff([0, gamma, 1]) sums to one by construction.
     """
-    if not window.entries:
+    if not len(window):
         raise ValueError("cannot mix an empty window")
     newest = window.newest()
     p = len(window) - 1
@@ -388,22 +399,23 @@ def aa_step(
     window: HistoryWindow,
     policy: DampingPolicy,
     g: Callable[[np.ndarray], np.ndarray],
-) -> tuple[np.ndarray, StepDiagnostics]:
+) -> StepOutcome:
     """One Anderson step from the window's current contents.
 
-    Returns the next iterate and its diagnostics. The optimized policy
-    spends exactly two additional g evaluations (at the averaged iterate
-    and at the averaged g-image); the other policies spend none.
+    Returns the next iterate with its trace-row fields: beta, the mixing
+    gain theta = ||sum_i alpha_i f_i|| / ||f_k||, ||alpha||_1, and the one
+    mixing check (theta, sum_i alpha_i). gx_next is None: nothing has
+    evaluated g at the next iterate yet. The optimized policy spends
+    exactly two g evaluations (at the averaged iterate and at the averaged
+    g-image); the other policies spend none.
     """
     mix = solve_mixing_coefficients(window)
     fk_norm = window.newest().f_norm
     theta = mix.mixed_norm / fk_norm if fk_norm > 0.0 else 0.0
-    extra = 0
 
     if policy.kind == "optimized":
         gp = g(mix.x_avg)
         gq = g(mix.gx_avg)
-        extra = 2
         if not (np.all(np.isfinite(gp)) and np.all(np.isfinite(gq))):
             raise DivergedError("damping probe evaluations left the finite range")
         r_p = mix.x_avg - gp
@@ -416,11 +428,4 @@ def aa_step(
 
     if not np.all(np.isfinite(x_next)):
         raise DivergedError("next iterate left the finite range")
-    diag = StepDiagnostics(
-        beta=beta,
-        theta=theta,
-        alpha_sum=mix.alpha_sum,
-        alpha_abs_sum=mix.alpha_abs_sum,
-        extra_fevals=extra,
-    )
-    return x_next, diag
+    return StepOutcome(x_next, None, beta, theta, mix.alpha_abs_sum, ((theta, mix.alpha_sum),))

@@ -54,7 +54,7 @@ from .composer import (
     RunConfig,
     run,
 )
-from .diagnostics import Termination, memory_footprint, write_trace_csv
+from .diagnostics import Termination, write_trace_csv
 from .kernel import norm2
 from .problems import (
     FixedPointProblem,
@@ -271,26 +271,37 @@ def presentation_scale(spec: AcceleratorSpec) -> int:
     return 1
 
 
-_PROBLEM_KEYS = {
-    "bratu": ("N", "lam"),
-    "convdiff": ("N", "eps", "react", "scheme"),
-    "tridiag": ("n",),
+# kind -> (factory, {key: (cast, default)}), keys in the factory's argument order.
+_PROBLEMS = {
+    "bratu": (bratu_problem, {"N": (int, 64), "lam": (float, 6.0)}),
+    "convdiff": (
+        convdiff_problem,
+        {"N": (int, 32), "eps": (float, 1.0), "react": (float, 3.0), "scheme": (str, "centered")},
+    ),
+    "tridiag": (tridiag_problem, {"n": (int, 100)}),
 }
 
 
 def build_problem(kind: str, params: dict):
-    if kind == "bratu":
-        return bratu_problem(int(params.get("N", 64)), float(params.get("lam", 6.0)))
-    if kind == "convdiff":
-        return convdiff_problem(
-            int(params.get("N", 32)),
-            float(params.get("eps", 1.0)),
-            float(params.get("react", 3.0)),
-            str(params.get("scheme", "centered")),
-        )
-    if kind == "tridiag":
-        return tridiag_problem(int(params.get("n", 100)))
-    raise ValueError(f"unknown problem kind {kind!r} (expected bratu, convdiff or tridiag)")
+    """Build the problem kind from params, defaults filling the keys left out.
+
+    Raises ValueError for an unknown kind or key and for a value that does
+    not cast or that the problem's factory rejects.
+    """
+    if kind not in _PROBLEMS:
+        raise ValueError(f"unknown problem kind {kind!r} (expected one of {sorted(_PROBLEMS)})")
+    factory, keys = _PROBLEMS[kind]
+    for key in params:
+        if key not in keys:
+            raise ValueError(f"unknown {kind} parameter {key!r} (expected one of {list(keys)})")
+    args = []
+    for key, (cast, default) in keys.items():
+        value = params.get(key, default)
+        try:
+            args.append(cast(value))
+        except (TypeError, ValueError):
+            raise ValueError(f"{kind} parameter {key} must be {cast.__name__}, got {value!r}") from None
+    return factory(*args)
 
 
 @dataclass
@@ -304,12 +315,9 @@ class ExperimentConfig:
 
     def __post_init__(self):
         self.output = Path(self.output)
-        for key in self.problem_params:
-            if key not in _PROBLEM_KEYS.get(self.problem_kind, ()):
-                raise ValueError(
-                    f"unknown {self.problem_kind} parameter {key!r} "
-                    f"(expected one of {_PROBLEM_KEYS.get(self.problem_kind)})"
-                )
+        # Building the problem checks its kind, keys and values; it is cheap
+        # next to any solve.
+        build_problem(self.problem_kind, self.problem_params)
         if not self.solvers:
             raise ValueError("at least one solver spec is required")
         labels = [render_spec(parse_spec(text)) for text in self.solvers]
@@ -378,7 +386,7 @@ def run_experiment(config: ExperimentConfig):
                 trace.fevals,
                 f"{trace.final_res:.17g}",
                 trace.rows[-1].wall_ns if trace.rows else 0,
-                memory_footprint(spec),
+                spec.memory,
             )
         )
         results.append((label, trace))
@@ -424,7 +432,7 @@ def _check_memory():
     ):
         meter = WindowMeter()
         run(spec, problem, problem.default_start, cfg, meter=meter)
-        assert meter.peak == want == memory_footprint(spec), (spec, meter.peak, want)
+        assert meter.peak == want == spec.memory, (spec, meter.peak, want)
 
 
 def _check_gmres():
@@ -597,7 +605,7 @@ def _list_solvers(stream) -> None:
     for text in ("picard", "AA(20)", "AAoptD(20)", "AA(20,AA(1))", "AAoptD(20,AA(1))",
                  "ADD(AA(20),AA(1))", "AA(20);beta=0.5", "AAoptD(20);eta=0.1;guard=floor"):
         spec = parse_spec(text)
-        print(f"  {text:32s} memory {memory_footprint(spec)}", file=stream)
+        print(f"  {text:32s} memory {spec.memory}", file=stream)
 
 
 def main(argv=None) -> int:

@@ -25,6 +25,7 @@ from .accelerator import (
     DampingPolicy,
     DivergedError,
     HistoryWindow,
+    StepOutcome,
     WindowEntry,
     WindowMeter,
     aa_step,
@@ -40,7 +41,7 @@ class Picard:
 
     depth = memory = 1
 
-    def step(self, window: HistoryWindow, g) -> _StepOutcome:
+    def step(self, window: HistoryWindow, g) -> StepOutcome:
         return _PLAIN.step(window, g)
 
 
@@ -61,11 +62,8 @@ class AA:
 
     memory = depth
 
-    def step(self, window: HistoryWindow, g) -> _StepOutcome:
-        x_next, diag = aa_step(window.tail(self.depth), self.damping, g)
-        return _StepOutcome(
-            x_next, None, diag.beta, diag.theta, diag.alpha_abs_sum, ((diag.theta, diag.alpha_sum),)
-        )
+    def step(self, window: HistoryWindow, g) -> StepOutcome:
+        return aa_step(window.tail(self.depth), self.damping, g)
 
 
 _PLAIN = AA(0)
@@ -100,7 +98,7 @@ class Additive:
         # windows is live on top of the shared one.
         return self.depth + max(b.memory - b.depth for b in (self.left, self.right))
 
-    def step(self, window: HistoryWindow, g) -> _StepOutcome:
+    def step(self, window: HistoryWindow, g) -> StepOutcome:
         lo = self.left.step(window, g)
         ro = self.right.step(window, g)
         x_next = self.w_left * lo.x_next + self.w_right * ro.x_next
@@ -108,7 +106,7 @@ class Additive:
             raise DivergedError("blended iterate left the finite range")
         theta = max(lo.theta, ro.theta)
         abs_sum = max(lo.alpha_abs_sum, ro.alpha_abs_sum)
-        return _StepOutcome(x_next, None, None, theta, abs_sum, lo.checks + ro.checks)
+        return StepOutcome(x_next, None, None, theta, abs_sum, lo.checks + ro.checks)
 
 
 @dataclass(frozen=True)
@@ -136,7 +134,7 @@ class Multiplicative:
     def memory(self) -> int:
         return self.outer.depth + self.inner.memory
 
-    def step(self, window: HistoryWindow, g) -> _StepOutcome:
+    def step(self, window: HistoryWindow, g) -> StepOutcome:
         oo = self.outer.step(window, g)
         if self.iter_n == 0:
             return oo
@@ -153,7 +151,7 @@ class Multiplicative:
                 entry = _advance(inner_window, io.x_next, io.gx_next, g)
         finally:
             inner_window.close()
-        return _StepOutcome(
+        return StepOutcome(
             entry.x, entry.gx, oo.beta, oo.theta, oo.alpha_abs_sum, checks, inner_theta
         )
 
@@ -191,23 +189,6 @@ class CountingMap:
     def __call__(self, x: np.ndarray) -> np.ndarray:
         self.calls += 1
         return self.fn(x)
-
-
-@dataclass(slots=True)
-class _StepOutcome:
-    """One step's next iterate and the fields of its trace row.
-
-    gx_next is g(x_next) when the step has already evaluated it, else None.
-    checks holds one (theta, alpha_sum) pair per mixing event, in order.
-    """
-
-    x_next: np.ndarray
-    gx_next: np.ndarray | None
-    beta: float | None
-    theta: float
-    alpha_abs_sum: float
-    checks: tuple
-    inner_theta: float | None = None
 
 
 def _advance(window: HistoryWindow, x: np.ndarray, gx, g) -> WindowEntry:

@@ -1,4 +1,4 @@
-"""Convergence traces, contraction audits, and the memory model."""
+"""Convergence traces, contraction audits, and the trace CSV format."""
 
 from __future__ import annotations
 
@@ -54,16 +54,6 @@ class ConvergenceTrace:
     @property
     def fevals(self) -> int:
         return self.rows[-1].fevals if self.rows else 0
-
-
-def memory_footprint(spec) -> int:
-    """History slots a spec keeps live at once.
-
-    A window of size m holds m + 1 iterate slots. Additive composition
-    shares one history and adds the larger window a branch opens per step;
-    multiplicative composition keeps the inner slots next to the outer ones.
-    """
-    return spec.memory
 
 
 @dataclass

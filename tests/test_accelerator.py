@@ -19,15 +19,28 @@ from anderkit.kernel import least_squares, norm2
 # ---- window bookkeeping ----
 
 
+def _xs(window):
+    """The window's iterates, oldest first, rebuilt from its newest x and dx block."""
+    dx = window.differences()[0]
+    newest = window.newest().x
+    return [newest - dx[i:].sum(axis=0) for i in range(len(dx))] + [newest]
+
+
+def _live(pushed, window):
+    """(xs, gxs, fs) of the window's iterates, oldest first, from the pairs pushed onto it."""
+    pairs = pushed[-len(window):]
+    return [x for x, _ in pairs], [gx for _, gx in pairs], [gx - x for x, gx in pairs]
+
+
 def test_window_push_stores_triples_and_evicts_oldest():
     w = HistoryWindow(2)
     w.push(np.array([0.0]), np.array([1.0]))
     w.push(np.array([1.0]), np.array([1.5]))
     w.push(np.array([1.5]), np.array([1.75]))
     assert len(w) == 2
-    oldest, newest = list(w)
-    assert oldest.x[0] == 1.0 and newest.x[0] == 1.5
-    assert newest.f[0] == pytest.approx(0.25)
+    oldest, newest = _xs(w)
+    assert oldest[0] == 1.0 and newest[0] == 1.5
+    assert w.newest().f[0] == pytest.approx(0.25)
 
 
 def test_window_rejects_bad_shapes():
@@ -49,7 +62,7 @@ def test_window_tail_views_newest_entries():
         w.push(np.array([float(k)]), np.array([float(k + 1)]))
     t = w.tail(2)
     assert len(t) == 2
-    assert [e.x[0] for e in t] == [3.0, 4.0]
+    assert [x[0] for x in _xs(t)] == [3.0, 4.0]
     # tail of more than available returns what exists
     assert len(w.tail(99)) == 5
 
@@ -57,30 +70,51 @@ def test_window_tail_views_newest_entries():
 def test_window_tail_reuses_itself_and_copies_newest_differences():
     rng = np.random.default_rng(4)
     w = HistoryWindow(4)
+    pushed = []
     for _ in range(6):
         x = rng.standard_normal(3)
-        w.push(x, x + rng.standard_normal(3))
+        pushed.append((x, x + rng.standard_normal(3)))
+        w.push(*pushed[-1])
     assert w.tail(4) is w and w.tail(99) is w
     t = w.tail(2)
-    assert t is not w and [e.x[0] for e in t] == [e.x[0] for e in list(w)[-2:]]
+    assert t is not w and t.newest() is w.newest()
+    assert np.array_equal(t.differences()[0], w.differences()[0][-1:])
     assert np.array_equal(t.differences()[1], w.differences()[1][-1:])
     fresh = HistoryWindow(2)
-    for e in t:
-        fresh.push(e.x, e.gx)
+    for x, gx in pushed[-2:]:
+        fresh.push(x, gx)
     assert np.allclose(solve_mixing_coefficients(t).alpha, solve_mixing_coefficients(fresh).alpha, atol=1e-14)
+
+
+def test_tail_view_refuses_push_and_leaves_its_window_unchanged():
+    rng = np.random.default_rng(12)
+    w = HistoryWindow(5)
+    for _ in range(7):
+        x = rng.standard_normal(8)
+        w.push(x, x + rng.standard_normal(8))
+    dx, df = (block.copy() for block in w.differences())
+    q, r = (part.copy() for part in w.factor)
+    for k in (1, 3):
+        with pytest.raises(ValueError):
+            w.tail(k).push(np.zeros(8), np.ones(8))
+    assert len(w) == 5
+    assert np.array_equal(w.differences()[0], dx) and np.array_equal(w.differences()[1], df)
+    assert np.array_equal(w.factor[0], q) and np.array_equal(w.factor[1], r)
 
 
 def test_wrapped_window_and_its_tails_hold_the_differences_of_their_entries():
     rng = np.random.default_rng(9)
     w = HistoryWindow(5)
+    pushed = []
     for _ in range(14):  # more than three trips around the 4-slot ring
         x = rng.standard_normal(7)
-        w.push(x, x + rng.standard_normal(7))
+        pushed.append((x, x + rng.standard_normal(7)))
+        w.push(*pushed[-1])
         for view in [w] + [w.tail(k) for k in range(1, len(w))]:
-            entries = list(view)
+            xs, _, fs = _live(pushed, view)
             dx, df = view.differences()
-            assert np.array_equal(dx, np.diff([e.x for e in entries], axis=0).reshape(-1, 7))
-            assert np.array_equal(df, np.diff([e.f for e in entries], axis=0).reshape(-1, 7))
+            assert np.array_equal(dx, np.diff(xs, axis=0).reshape(-1, 7))
+            assert np.array_equal(df, np.diff(fs, axis=0).reshape(-1, 7))
 
 
 def test_meter_tracks_fill_and_peak():
@@ -156,12 +190,14 @@ def test_mixing_beats_constrained_grid_search():
     rng = np.random.default_rng(55)
     for _ in range(15):
         w = HistoryWindow(3)
+        pushed = []
         for _ in range(3):
             x = rng.standard_normal(4)
-            w.push(x, x + rng.standard_normal(4))
+            pushed.append((x, x + rng.standard_normal(4)))
+            w.push(*pushed[-1])
         mix = solve_mixing_coefficients(w)
         assert mix.alpha_sum == pytest.approx(1.0, abs=1e-12)
-        fs = [e.f for e in w]
+        fs = _live(pushed, w)[2]
         grid = np.linspace(-2.0, 3.0, 51)
         for a0 in grid:
             for a1 in grid:
@@ -220,9 +256,8 @@ def _fallback_alpha(window):
     return np.diff(gamma, prepend=0.0, append=1.0)
 
 
-def _eliminated_alpha(window):
+def _eliminated_alpha(fs):
     """alpha from least_squares on the stacked f_i - f_k matrix."""
-    fs = [e.f for e in window]
     w = _padded_least_squares(np.column_stack([f - fs[-1] for f in fs[:-1]]), -fs[-1])
     return np.append(w, 1.0 - w.sum())
 
@@ -231,34 +266,38 @@ def _blend(alpha, vectors):
     return sum(a * v for a, v in zip(alpha, vectors))
 
 
-def _check_fallback(window, same_averages):
+def _check_fallback(window, pushed, same_averages):
     # alpha of a rank-deficient window is not unique: the window's alpha is
     # the stacked-difference solve, and its mixed residual (and, when whole
     # iterates repeat, its averages) match the f_i - f_k formulation.
     assert window.factor is None
     mix = solve_mixing_coefficients(window)
     assert np.allclose(mix.alpha, _fallback_alpha(window), rtol=0.0, atol=1e-10)
-    ref = _eliminated_alpha(window)
-    fs = [e.f for e in window]
+    xs, gxs, fs = _live(pushed, window)
+    ref = _eliminated_alpha(fs)
     assert norm2(_blend(mix.alpha, fs) - _blend(ref, fs)) <= 1e-10 * max(norm2(fs[-1]), 1.0)
     if same_averages:
-        assert np.allclose(mix.x_avg, _blend(ref, [e.x for e in window]), rtol=0.0, atol=1e-10)
-        assert np.allclose(mix.gx_avg, _blend(ref, [e.gx for e in window]), rtol=0.0, atol=1e-10)
-    x_next, diag = aa_step(window, DampingPolicy.none(), lambda x: x)
-    assert np.all(np.isfinite(x_next)) and diag.alpha_sum == pytest.approx(1.0, abs=1e-12)
+        assert np.allclose(mix.x_avg, _blend(ref, xs), rtol=0.0, atol=1e-10)
+        assert np.allclose(mix.gx_avg, _blend(ref, gxs), rtol=0.0, atol=1e-10)
+    step = aa_step(window, DampingPolicy.none(), lambda x: x)
+    (_, alpha_sum), = step.checks
+    assert np.all(np.isfinite(step.x_next)) and alpha_sum == pytest.approx(1.0, abs=1e-12)
 
 
 def test_repeated_iterate_takes_stacked_fallback_until_evicted():
     rng = np.random.default_rng(21)
     g = lambda x: np.cos(x) + 0.5
     w = HistoryWindow(4)
+    pushed = []
     x0, x1 = rng.standard_normal(6), rng.standard_normal(6)
     for x in (x0, x1, x1):  # the repeat makes dx = df = 0
-        w.push(x, g(x))
-    _check_fallback(w, same_averages=True)
+        pushed.append((x, g(x)))
+        w.push(*pushed[-1])
+    _check_fallback(w, pushed, same_averages=True)
     x = rng.standard_normal(6)
-    w.push(x, g(x))
-    _check_fallback(w, same_averages=True)
+    pushed.append((x, g(x)))
+    w.push(*pushed[-1])
+    _check_fallback(w, pushed, same_averages=True)
     # the zero column leaves with the second eviction; the factor returns
     for _ in range(2):
         x = rng.standard_normal(6)
@@ -273,11 +312,13 @@ def test_dependent_differences_take_stacked_fallback():
     e = rng.integers(-5, 6, 5).astype(float)
     f = rng.integers(-5, 6, 5).astype(float)
     w = HistoryWindow(4)
+    pushed = []
     for step in (np.zeros(5), d, e, 2.0 * d):
         f = f + step
         x = rng.integers(-9, 10, 5).astype(float)
-        w.push(x, x + f)
-    _check_fallback(w, same_averages=False)
+        pushed.append((x, x + f))
+        w.push(*pushed[-1])
+    _check_fallback(w, pushed, same_averages=False)
 
 
 def test_dependent_differences_regain_the_factor_once_the_block_factors():
@@ -305,26 +346,31 @@ def test_scalar_window_deeper_than_its_dimension_takes_stacked_fallback():
     # n = 1 with depth 3: two difference columns in a one-row problem
     g = lambda x: np.cos(x)
     w = HistoryWindow(3)
+    pushed = []
     for x in (0.0, 1.0, 3.0, -2.0):
-        w.push(np.array([x]), g(np.array([x])))
+        pushed.append((np.array([x]), g(np.array([x]))))
+        w.push(*pushed[-1])
         if len(w) > 1:
-            _check_fallback(w, same_averages=False)
+            _check_fallback(w, pushed, same_averages=False)
 
 
 def test_updated_factor_stays_orthogonal_over_a_long_run():
     rng = np.random.default_rng(1000)
     n = 40
     w = HistoryWindow(21)
+    pushed = []
     for _ in range(1000):
         x = rng.standard_normal(n)
-        w.push(x, x + rng.standard_normal(n))
+        pushed.append((x, x + rng.standard_normal(n)))
+        del pushed[:-21]
+        w.push(*pushed[-1])
         if len(w) < 2:
             continue
         q, r = w.factor
         block = w.differences()[1].T
         assert np.linalg.norm(q.T @ q - np.eye(q.shape[1])) <= 1e-10
         assert np.linalg.norm(q @ r - block) <= 1e-10 * np.linalg.norm(block)
-        fs = [e.f for e in w]
+        fs = _live(pushed, w)[2]
         stacked = np.column_stack([f - fs[-1] for f in fs[:-1]])
         ref = norm2(fs[-1] + stacked @ least_squares(stacked, -fs[-1]))
         assert abs(solve_mixing_coefficients(w).mixed_norm - ref) <= 1e-10 * ref
@@ -447,15 +493,20 @@ def _push_with(g, w, x):
 
 
 def test_step_with_single_entry_is_picard():
-    g = lambda x: 0.5 * x + 1.0
+    calls = []
+
+    def g(x):
+        calls.append(x)
+        return 0.5 * x + 1.0
+
     w = HistoryWindow(3)
     x0 = np.array([0.0])
     _push_with(g, w, x0)
-    x1, diag = aa_step(w, DampingPolicy.none(), g)
-    assert x1[0] == pytest.approx(1.0)
-    assert diag.beta == 1.0
-    assert diag.theta == pytest.approx(1.0)
-    assert diag.extra_fevals == 0
+    step = aa_step(w, DampingPolicy.none(), g)
+    assert step.x_next[0] == pytest.approx(1.0)
+    assert step.beta == 1.0
+    assert step.theta == pytest.approx(1.0)
+    assert len(calls) == 1  # the push only; the step spent no evaluation
 
 
 def test_step_scalar_affine_reaches_fixed_point_in_two():
@@ -464,13 +515,15 @@ def test_step_scalar_affine_reaches_fixed_point_in_two():
     w = HistoryWindow(2)
     x = np.array([0.0])
     _push_with(g, w, x)
-    x1, _ = aa_step(w, DampingPolicy.none(), g)
+    x1 = aa_step(w, DampingPolicy.none(), g).x_next
     assert x1[0] == pytest.approx(1.0)
     _push_with(g, w, x1)
-    x2, diag = aa_step(w, DampingPolicy.none(), g)
-    assert x2[0] == pytest.approx(2.0, abs=1e-14)
-    assert diag.theta == pytest.approx(0.0, abs=1e-14)
-    assert diag.alpha_sum == pytest.approx(1.0, abs=1e-14)
+    step = aa_step(w, DampingPolicy.none(), g)
+    assert step.x_next[0] == pytest.approx(2.0, abs=1e-14)
+    assert step.theta == pytest.approx(0.0, abs=1e-14)
+    (theta, alpha_sum), = step.checks
+    assert theta == step.theta
+    assert alpha_sum == pytest.approx(1.0, abs=1e-14)
 
 
 def test_step_constant_damping_blends_averages():
@@ -478,10 +531,10 @@ def test_step_constant_damping_blends_averages():
     w = HistoryWindow(1)
     x = np.array([0.0])
     _push_with(g, w, x)
-    x1, diag = aa_step(w, DampingPolicy.constant(0.25), g)
+    step = aa_step(w, DampingPolicy.constant(0.25), g)
     # single entry: x_avg = 0, gx_avg = 1, so next = 0.75*0 + 0.25*1
-    assert x1[0] == pytest.approx(0.25)
-    assert diag.beta == 0.25
+    assert step.x_next[0] == pytest.approx(0.25)
+    assert step.beta == 0.25
 
 
 def test_step_optimized_costs_two_evals_and_moves_along_segment():
@@ -494,12 +547,12 @@ def test_step_optimized_costs_two_evals_and_moves_along_segment():
     w = HistoryWindow(2)
     x = np.array([0.0])
     w.push(x, 0.5 * x + 1.0)
-    x1, diag = aa_step(w, DampingPolicy.optimized(), g)
+    step = aa_step(w, DampingPolicy.optimized(), g)
+    # the push did not call g, so both calls are the step's probes
     assert calls["n"] == 2
-    assert diag.extra_fevals == 2
     # scalar affine: x_avg=0, gx_avg=1, r_p=-1, r_q=-0.5, projection = 2 -> clamp 1
-    assert diag.beta == 1.0
-    assert x1[0] == pytest.approx(1.0)
+    assert step.beta == 1.0
+    assert step.x_next[0] == pytest.approx(1.0)
 
 
 def test_step_optimized_interior_beta_on_expanding_map():
@@ -509,9 +562,9 @@ def test_step_optimized_interior_beta_on_expanding_map():
     w = HistoryWindow(1)
     x = np.array([0.0])
     w.push(x, g(x))
-    x1, diag = aa_step(w, DampingPolicy.optimized(), g)
-    assert diag.beta == pytest.approx(1.0 / 3.0)
-    assert x1[0] == pytest.approx(1.0)  # 0 + (1/3)*3 lands on the fixed point
+    step = aa_step(w, DampingPolicy.optimized(), g)
+    assert step.beta == pytest.approx(1.0 / 3.0)
+    assert step.x_next[0] == pytest.approx(1.0)  # 0 + (1/3)*3 lands on the fixed point
 
 
 def test_step_non_finite_next_iterate_raises():

@@ -20,7 +20,7 @@ from anderkit.accelerator import (
     solve_mixing_coefficients,
 )
 from anderkit.composer import AA, Additive, Multiplicative, Picard, RunConfig, run
-from anderkit.diagnostics import Termination, contraction_audit, memory_footprint
+from anderkit.diagnostics import Termination, contraction_audit
 from anderkit.kernel import norm2
 from anderkit.problems import (
     FixedPointProblem,
@@ -64,7 +64,7 @@ def gmres_comparison(tridiag):
     window.push(x, tridiag.g(x))
     rel = []
     for k in range(20):
-        x, _ = aa_step(window, DampingPolicy.none(), tridiag.g)
+        x = aa_step(window, DampingPolicy.none(), tridiag.g).x_next
         window.push(x, tridiag.g(x))
         target = tridiag.g(xs[k])
         rel.append(norm2(x - target) / max(norm2(target), 1e-300))
@@ -286,7 +286,7 @@ def test_criterion_07_optimized_beta_tracks_grid_argmin():
         x = rng.standard_normal(6)
         window.push(x, g(x))
         for _ in range(3):
-            x, _ = aa_step(window, DampingPolicy.none(), g)
+            x = aa_step(window, DampingPolicy.none(), g).x_next
             window.push(x, g(x))
 
         mix = solve_mixing_coefficients(window)
@@ -327,7 +327,7 @@ def test_criterion_08_peak_history_memory_exact(tridiag):
         meter = WindowMeter()
         run(spec, tridiag, tridiag.default_start, cfg, meter=meter)
         assert meter.peak == want, (name, meter.peak)
-        assert memory_footprint(spec) == want
+        assert spec.memory == want
         assert meter.current == 0
         peaks[name] = meter.peak
     print(f"criterion 8 PASS: instrumented peaks {peaks} match m+1 / max(m+1,n+1) / m+n+2")

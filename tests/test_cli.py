@@ -1,4 +1,4 @@
-"""Solver grammar, experiment configs, csv outputs, exit codes."""
+"""Solver grammar, experiment configs, csv outputs, exit codes, package exports."""
 
 import csv
 import io
@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+import anderkit
 from anderkit.accelerator import DampingPolicy
 from anderkit.cli import (
     ExperimentConfig,
@@ -384,6 +385,21 @@ def test_main_exit_codes(tmp_path, capsys):
     # malformed problem parameter exits 1
     assert main(["run", "--problem", "tridiag", "--param", "bogus"]) == 1
     capsys.readouterr()
+    # an unknown kind, an uncastable value and values the problem rejects are
+    # config errors, caught before any solve
+    for argv in (
+        ["--problem", "foo"],
+        ["--problem", "bratu", "--param", "N=abc"],
+        ["--problem", "bratu", "--param", "N=1"],
+        ["--problem", "convdiff", "--param", "scheme=sideways"],
+    ):
+        assert main(["run", *argv, "--out", str(tmp_path / "bad")]) == 1, argv
+        assert "anderkit: config error:" in capsys.readouterr().err, argv
+    assert not (tmp_path / "bad").exists()
+    # an unknown kind is reported as such, naming the known kinds
+    assert main(["run", "--problem", "foo", "--param", "N=3"]) == 1
+    err = capsys.readouterr().err
+    assert "unknown problem kind 'foo'" in err and "bratu" in err
     # bad json exits 1
     bad = tmp_path / "bad.json"
     bad.write_text("{not json", encoding="utf-8")
@@ -423,3 +439,12 @@ def test_main_check_passes(capsys):
     out = capsys.readouterr().out
     assert "FAIL" not in out
     assert out.count("ok ") >= 6
+
+
+# ---- package ----
+
+
+def test_every_export_resolves_once():
+    assert len(anderkit.__all__) == len(set(anderkit.__all__))
+    missing = [name for name in anderkit.__all__ if not hasattr(anderkit, name)]
+    assert missing == []

@@ -13,7 +13,7 @@ from anderkit.composer import (
     RunConfig,
     run,
 )
-from anderkit.diagnostics import Termination, memory_footprint
+from anderkit.diagnostics import Termination
 from anderkit.problems import FixedPointProblem
 
 
@@ -113,7 +113,7 @@ def test_inner_picard_one_step_is_g_of_half_step():
     w.push(x, p.g(x))
     manual = []
     for _ in range(10):
-        x_half, _ = aa_step(w, DampingPolicy.none(), p.g)
+        x_half = aa_step(w, DampingPolicy.none(), p.g).x_next
         x = p.g(x_half)
         w.push(x, p.g(x))
         manual.append(float(np.linalg.norm(w.newest().f)))
@@ -174,7 +174,7 @@ def test_peak_window_slots_by_composition():
         meter = WindowMeter()
         run(spec, p, p.default_start, cfg, meter=meter)
         assert meter.peak == want, (spec, meter.peak)
-        assert meter.peak <= memory_footprint(spec), spec
+        assert meter.peak <= spec.memory, spec
         assert meter.current == 0  # all windows closed after the run
 
 
@@ -296,10 +296,6 @@ def test_multiplicative_rows_record_inner_theta():
     assert all(r.inner_theta is None for r in plain.rows)
 
 
-def _check(diag):
-    return (diag.theta, diag.alpha_sum)
-
-
 def test_additive_row_fields_take_the_larger_branch_values():
     from anderkit.accelerator import HistoryWindow, aa_step
 
@@ -309,14 +305,14 @@ def test_additive_row_fields_take_the_larger_branch_values():
     w.push(p.default_start, p.g(p.default_start))
     theta_from_right = False
     for row in trace.rows[1:]:
-        left, dl = aa_step(w.tail(3), DampingPolicy.none(), p.g)
-        right, dr = aa_step(w.tail(2), DampingPolicy.none(), p.g)
-        x = 0.5 * left + 0.5 * right
+        dl = aa_step(w.tail(3), DampingPolicy.none(), p.g)
+        dr = aa_step(w.tail(2), DampingPolicy.none(), p.g)
+        x = 0.5 * dl.x_next + 0.5 * dr.x_next
         w.push(x, p.g(x))
         assert row.beta is None
         assert row.theta == pytest.approx(max(dl.theta, dr.theta), rel=1e-12)
         assert row.alpha_abs_sum == pytest.approx(max(dl.alpha_abs_sum, dr.alpha_abs_sum), rel=1e-12)
-        want = [_check(dl), _check(dr)]
+        want = [*dl.checks, *dr.checks]
         assert np.array(row.mixing_checks) == pytest.approx(np.array(want), rel=1e-12)
         assert row.inner_theta is None
         theta_from_right |= dr.theta > dl.theta
@@ -334,12 +330,14 @@ def test_multiplicative_row_fields_come_from_the_outer_step():
     w = HistoryWindow(3)
     w.push(p.default_start, p.g(p.default_start))
     for row in trace.rows[1:]:
-        x, do = aa_step(w.tail(3), outer_policy, p.g)
+        do = aa_step(w.tail(3), outer_policy, p.g)
+        x = do.x_next
         inner = HistoryWindow(2)
         inner.push(x, p.g(x))
         inner_diags = []
         for _ in range(2):
-            x, di = aa_step(inner.tail(2), DampingPolicy.none(), p.g)
+            di = aa_step(inner.tail(2), DampingPolicy.none(), p.g)
+            x = di.x_next
             inner.push(x, p.g(x))
             inner_diags.append(di)
         w.push(x, p.g(x))
@@ -347,7 +345,7 @@ def test_multiplicative_row_fields_come_from_the_outer_step():
         assert row.theta == pytest.approx(do.theta, rel=1e-12)
         assert row.alpha_abs_sum == pytest.approx(do.alpha_abs_sum, rel=1e-12)
         # outer event first, then the inner ones in order
-        want = [_check(do)] + [_check(d) for d in inner_diags]
+        want = [*do.checks] + [check for d in inner_diags for check in d.checks]
         assert np.array(row.mixing_checks) == pytest.approx(np.array(want), rel=1e-12)
         # the first inner step, on the seed entry alone, not the second
         assert row.inner_theta == inner_diags[0].theta == 1.0
@@ -364,8 +362,8 @@ def test_additive_weights_blend_the_two_steps():
     x0 = p.default_start
     w = HistoryWindow(3)
     w.push(x0, p.g(x0))
-    left, _ = aa_step(w.tail(3), DampingPolicy.none(), p.g)
-    right, _ = aa_step(w.tail(2), DampingPolicy.none(), p.g)
+    left = aa_step(w.tail(3), DampingPolicy.none(), p.g).x_next
+    right = aa_step(w.tail(2), DampingPolicy.none(), p.g).x_next
     blended = 0.3 * left + 0.7 * right
     expect = float(np.linalg.norm(p.g(blended) - blended))
 

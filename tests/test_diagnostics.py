@@ -11,7 +11,6 @@ from anderkit.diagnostics import (
     Termination,
     TraceRow,
     contraction_audit,
-    memory_footprint,
     read_trace_rows,
     write_trace_csv,
 )
@@ -36,14 +35,14 @@ def test_termination_values_are_strings():
 
 
 def test_memory_footprint_formulas():
-    assert memory_footprint(Picard()) == 1
-    assert memory_footprint(AA(20)) == 21
-    assert memory_footprint(Additive(AA(20), AA(1))) == 21
-    assert memory_footprint(Multiplicative(AA(20), AA(1))) == 23
-    assert memory_footprint(Multiplicative(AA(3), Picard())) == 5
+    assert Picard().memory == 1
+    assert AA(20).memory == 21
+    assert Additive(AA(20), AA(1)).memory == 21
+    assert Multiplicative(AA(20), AA(1)).memory == 23
+    assert Multiplicative(AA(3), Picard()).memory == 5
     nested = Additive(Multiplicative(AA(2), AA(1)), AA(5))
     # the shared window of 6 plus the 2-slot inner window the left branch opens
-    assert memory_footprint(nested) == 6 + 2
+    assert nested.memory == 6 + 2
 
 
 # ---- contraction audits ----
