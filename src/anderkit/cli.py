@@ -26,7 +26,12 @@ Experiment configs are JSON with the shape::
     }
 
 Problem kinds and their keys: bratu (N, lam), convdiff (N, eps, react,
-scheme), tridiag (n). Command line flags win over file values.
+scheme), tridiag (n). Command line flags are merged into the file's dict
+(or into an empty one) before anything is checked, so a flag wins over a
+file value, even an invalid one; the merged dict is then checked once.
+"--param" values stay strings until the problem's key table casts them; an
+integer key rejects a fraction and a float key rejects NaN and infinity.
+The run keys are RunConfig's fields.
 """
 
 from __future__ import annotations
@@ -65,6 +70,10 @@ from .problems import (
 )
 
 SUMMARY_COLUMNS = ("label", "termination", "iters", "fevals", "final_res", "wall_ns", "memory_vectors")
+
+# Canonical spellings: `list-solvers` prints them and `check` round-trips them.
+EXAMPLE_SPECS = ("picard", "AA(20)", "AAoptD(20)", "AA(20,AA(1))", "AAoptD(20,AA(1))",
+                 "ADD(AA(20),AA(1))", "AA(20);beta=0.5", "AAoptD(20);eta=0.1;guard=floor")
 
 
 class SpecParseError(ValueError):
@@ -232,8 +241,11 @@ def _render_windowed(node: AA, inner: str | None = None) -> str:
     body = head + (f",{inner})" if inner is not None else ")")
     if policy.kind == "constant":
         body += f";beta={_fmt_num(policy.beta)}"
-    elif policy.kind == "optimized" and policy.safeguard != "off":
-        body += f";eta={_fmt_num(policy.eta)};guard={policy.safeguard}"
+    elif policy.kind == "optimized":
+        if policy.safeguard != "off" or policy.eta != DampingPolicy.eta:
+            body += f";eta={_fmt_num(policy.eta)}"
+        if policy.safeguard != "off":
+            body += f";guard={policy.safeguard}"
     return body
 
 
@@ -294,14 +306,21 @@ def build_problem(kind: str, params: dict):
     for key in params:
         if key not in keys:
             raise ValueError(f"unknown {kind} parameter {key!r} (expected one of {list(keys)})")
-    args = []
-    for key, (cast, default) in keys.items():
-        value = params.get(key, default)
-        try:
-            args.append(cast(value))
-        except (TypeError, ValueError):
-            raise ValueError(f"{kind} parameter {key} must be {cast.__name__}, got {value!r}") from None
+    args = [_cast(cast, params.get(key, default), f"{kind} parameter {key}")
+            for key, (cast, default) in keys.items()]
     return factory(*args)
+
+
+def _cast(cast, value, name: str):
+    """cast(value), refusing a fraction for int and NaN or infinity for float."""
+    try:
+        out = cast(value)
+        fraction = cast is int and isinstance(value, float) and out != value
+        if fraction or (cast is float and not np.isfinite(out)):
+            raise ValueError
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{name} must be {cast.__name__}, got {value!r}") from None
+    return out
 
 
 @dataclass
@@ -333,31 +352,49 @@ def _object_section(raw: dict, key: str) -> dict:
     return dict(value)
 
 
-def load_experiment_config(path) -> ExperimentConfig:
+def _read_config(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict):
         raise ValueError("config root must be a JSON object")
-    known = {"problem", "solvers", "run", "output", "paper_style_iters"}
-    unknown = set(raw) - known
+    return raw
+
+
+def _config_from_dict(raw: dict) -> ExperimentConfig:
+    """Check a config dict of the JSON shape above and build its ExperimentConfig."""
+    unknown = set(raw) - {"problem", "solvers", "run", "output", "paper_style_iters"}
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     problem = _object_section(raw, "problem")
     kind = problem.pop("kind", None)
     if kind is None:
         raise ValueError("config must set problem.kind")
-    run_kwargs = _object_section(raw, "run")
-    unknown_run = set(run_kwargs) - {"tol", "max_iters", "max_fevals", "divergence_factor"}
+    run = _object_section(raw, "run")
+    fields = {f.name: f.default for f in dataclasses.fields(RunConfig)}
+    unknown_run = set(run) - set(fields)
     if unknown_run:
         raise ValueError(f"unknown run keys: {sorted(unknown_run)}")
-    return ExperimentConfig(
-        problem_kind=str(kind),
-        problem_params=problem,
-        solvers=list(raw.get("solvers", ["picard"])),
-        run_config=RunConfig(**run_kwargs),
-        output=Path(raw.get("output", "results")),
-        paper_style_iters=bool(raw.get("paper_style_iters", False)),
-    )
+    for key, value in run.items():
+        if type(fields[key]) is int:  # an integer field rejects a fraction, as problem keys do
+            run[key] = _cast(int, value, f"run {key}")
+    try:
+        run_config = RunConfig(**run)
+    except TypeError as exc:
+        raise ValueError(f"config 'run' values must be numbers ({exc})") from None
+    solvers = raw.get("solvers", ["picard"])
+    if not isinstance(solvers, list) or not all(isinstance(text, str) for text in solvers):
+        raise ValueError("config 'solvers' must be a list of strings")
+    output = raw.get("output", "results")
+    if not isinstance(output, str):
+        raise ValueError("config 'output' must be a string")
+    paper_style_iters = raw.get("paper_style_iters", False)
+    if not isinstance(paper_style_iters, bool):
+        raise ValueError("config 'paper_style_iters' must be true or false")
+    return ExperimentConfig(str(kind), problem, solvers, run_config, output, paper_style_iters)
+
+
+def load_experiment_config(path) -> ExperimentConfig:
+    return _config_from_dict(_read_config(path))
 
 
 def run_experiment(config: ExperimentConfig):
@@ -447,7 +484,7 @@ def _check_tridiag_solution():
 
 
 def _check_grammar_roundtrip():
-    for text in ("picard", "AA(20)", "AAoptD(20,AA(1))", "ADD(AA(20),AAoptD(1))"):
+    for text in EXAMPLE_SPECS:
         assert render_spec(parse_spec(text)) == text, text
 
 
@@ -521,7 +558,7 @@ def _build_parser() -> _ArgumentParser:
     runp.add_argument("--tol", type=float)
     runp.add_argument("--max-iters", type=int)
     runp.add_argument("--max-fevals", type=int)
-    runp.add_argument("--out", type=Path, help="output directory")
+    runp.add_argument("--out", help="output directory")
     runp.add_argument(
         "--paper-style-iters",
         action="store_true",
@@ -536,49 +573,32 @@ def _build_parser() -> _ArgumentParser:
     return parser
 
 
-def _coerce_param(value: str):
-    for cast in (int, float):
-        try:
-            return cast(value)
-        except ValueError:
-            continue
-    return value
-
-
 def _config_from_args(args) -> ExperimentConfig:
-    if args.config is not None:
-        config = load_experiment_config(args.config)
-    elif args.problem is not None:
-        config = ExperimentConfig(problem_kind=args.problem)
-    else:
+    """Merge the flags into the config file's dict (or into {}), then check it once."""
+    if args.config is None and args.problem is None:
         raise ValueError("either --config or --problem is required")
-    if args.problem is not None and args.problem != config.problem_kind:
+    raw = _read_config(args.config) if args.config is not None else {}
+    problem = _object_section(raw, "problem")
+    if args.problem is not None and args.problem != problem.get("kind"):
         # Switching the problem kind drops file params that no longer apply.
-        config.problem_kind = args.problem
-        config.problem_params = {}
+        problem = {"kind": args.problem}
     for item in args.param:
         key, sep, value = item.partition("=")
         if not sep:
             raise ValueError(f"--param expects KEY=VALUE, got {item!r}")
-        config.problem_params[key] = _coerce_param(value)
+        problem[key] = value
+    run = _object_section(raw, "run")
+    for f in dataclasses.fields(RunConfig):
+        if getattr(args, f.name, None) is not None:
+            run[f.name] = getattr(args, f.name)
+    raw = {**raw, "problem": problem, "run": run}
     if args.solver:
-        config.solvers = list(args.solver)
-    run_changes = {}
-    if args.tol is not None:
-        run_changes["tol"] = args.tol
-    if args.max_iters is not None:
-        run_changes["max_iters"] = args.max_iters
-    if args.max_fevals is not None:
-        run_changes["max_fevals"] = args.max_fevals
-    if run_changes:
-        config.run_config = dataclasses.replace(config.run_config, **run_changes)
+        raw["solvers"] = args.solver
     if args.out is not None:
-        config.output = args.out
+        raw["output"] = args.out
     if args.paper_style_iters:
-        config.paper_style_iters = True
-    # Re-validate after the overrides.
-    config.__post_init__()
-    return config
+        raw["paper_style_iters"] = True
+    return _config_from_dict(raw)
 
 
 _GRAMMAR_HELP = """\
@@ -602,8 +622,7 @@ examples (memory = simultaneously stored history vectors):
 
 def _list_solvers(stream) -> None:
     print(_GRAMMAR_HELP, end="", file=stream)
-    for text in ("picard", "AA(20)", "AAoptD(20)", "AA(20,AA(1))", "AAoptD(20,AA(1))",
-                 "ADD(AA(20),AA(1))", "AA(20);beta=0.5", "AAoptD(20);eta=0.1;guard=floor"):
+    for text in EXAMPLE_SPECS:
         spec = parse_spec(text)
         print(f"  {text:32s} memory {spec.memory}", file=stream)
 

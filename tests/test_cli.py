@@ -1,17 +1,22 @@
 """Solver grammar, experiment configs, csv outputs, exit codes, package exports."""
 
 import csv
+import dataclasses
 import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import anderkit
 from anderkit.accelerator import DampingPolicy
 from anderkit.cli import (
     ExperimentConfig,
     SpecParseError,
+    _build_parser,
+    _config_from_args,
     build_problem,
     load_experiment_config,
     main,
@@ -120,6 +125,8 @@ def test_parse_error_carries_position():
         "AAoptD(20)",
         "AA(20);beta=0.5",
         "AAoptD(2);eta=0.2;guard=floor",
+        "AAoptD(2);eta=0.2",
+        "AAoptD(2,AA(1));eta=0.3",
         "AA(2,AA(1))",
         "AA(2,AA(1));iterN=3",
         "AAoptD(2,picard)",
@@ -137,6 +144,44 @@ def test_render_round_trip(text):
 def test_render_canonicalizes_defaults():
     assert render_spec(parse_spec("AA( 2 , AA(1) ) ; iterN=1")) == "AA(2,AA(1))"
     assert render_spec(parse_spec("ADD(AA(1),AA(2),0.5,0.5)")) == "ADD(AA(1),AA(2))"
+    assert render_spec(parse_spec("AAoptD(2);eta=0.1")) == "AAoptD(2)"
+
+
+_DAMPING = st.one_of(
+    st.just(DampingPolicy.none()),
+    st.builds(DampingPolicy.constant, st.floats(0.0, 1.0, exclude_min=True)),
+    st.builds(
+        DampingPolicy.optimized,
+        st.sampled_from(["off", "floor", "reflect"]),
+        st.one_of(st.just(0.1), st.floats(0.0, 0.5, exclude_min=True, exclude_max=True)),
+    ),
+)
+_WINDOWED = st.builds(AA, st.integers(0, 30), _DAMPING)
+_COMPOSABLE_OUTER = st.builds(
+    AA, st.integers(0, 30), _DAMPING.filter(lambda policy: policy.kind != "constant")
+)
+
+
+def _specs(depth):
+    if depth == 1:
+        return st.one_of(st.just(Picard()), _WINDOWED)
+    sub = _specs(depth - 1)
+    return st.one_of(
+        sub,
+        st.builds(
+            lambda left, right, w: Additive(left, right, w, 1.0 - w),
+            sub,
+            sub,
+            st.one_of(st.just(0.5), st.floats(-2.0, 2.0)),
+        ),
+        st.builds(Multiplicative, _COMPOSABLE_OUTER, sub, st.integers(0, 4)),
+    )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(spec=_specs(3))
+def test_render_round_trip_property(spec):
+    assert parse_spec(render_spec(spec)) == spec
 
 
 def test_render_rejects_unrepresentable():
@@ -161,8 +206,22 @@ def test_build_problem_kinds_and_params():
     assert build_problem("bratu", {"N": 8}).n == 64
     assert build_problem("convdiff", {"N": 6, "scheme": "upwind"}).label == "convdiff-upwind"
     assert build_problem("tridiag", {"n": 30}).n == 30
+    # values are cast by the kind's key table, strings included
+    assert build_problem("bratu", {"N": "8", "lam": "6"}).n == 64
+    assert build_problem("tridiag", {"n": 30.0}).n == 30
     with pytest.raises(ValueError):
         build_problem("poisson", {})
+    # an integer key rejects a fraction, a float key rejects NaN and infinity
+    for kind, params, message in (
+        ("tridiag", {"n": 3.5}, "must be int"),
+        ("tridiag", {"n": float("inf")}, "must be int"),
+        ("bratu", {"N": "3.5"}, "must be int"),
+        ("bratu", {"N": 4, "lam": float("nan")}, "must be float"),
+        ("bratu", {"N": 4, "lam": "inf"}, "must be float"),
+        ("convdiff", {"N": 4, "eps": float("-inf")}, "must be float"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            build_problem(kind, params)
 
 
 def test_experiment_config_validation():
@@ -175,6 +234,12 @@ def test_experiment_config_validation():
     # two spellings of one spec would write the same CSV
     with pytest.raises(ValueError):
         ExperimentConfig(problem_kind="bratu", solvers=["AA(2)", "AA( 2 )"])
+    # two different specs have two labels, even when one only changes eta
+    config = ExperimentConfig(problem_kind="bratu", solvers=["AAoptD(2)", "AAoptD(2);eta=0.2"])
+    assert [render_spec(parse_spec(text)) for text in config.solvers] == [
+        "AAoptD(2)",
+        "AAoptD(2);eta=0.2",
+    ]
 
 
 def _write_config(path, **overrides):
@@ -218,6 +283,21 @@ def test_load_experiment_config_rejects_unknown_keys(tmp_path):
     for section in ("problem", "run"):
         _write_config(cfg_path, **{section: 5})
         with pytest.raises(ValueError, match="must be a JSON object"):
+            load_experiment_config(cfg_path)
+    # a value of the wrong type is a ValueError, not a TypeError or a silent cast
+    for overrides in (
+        {"run": {"tol": "x"}},
+        {"run": {"max_iters": 2.5}},
+        {"run": {"max_fevals": 10.5}},
+        {"solvers": 5},
+        {"solvers": "AA(2)"},
+        {"solvers": ["AA(2)", 3]},
+        {"output": 5},
+        {"paper_style_iters": "false"},
+        {"problem": {"kind": "tridiag", "n": 3.5}},
+    ):
+        _write_config(cfg_path, **overrides)
+        with pytest.raises(ValueError):
             load_experiment_config(cfg_path)
 
 
@@ -346,6 +426,34 @@ def test_main_run_with_config_and_overrides(tmp_path, capsys):
     assert not (tmp_path / "o" / "picard.csv").exists()
 
 
+def test_flags_and_run_fields_stay_in_step(tmp_path):
+    args = _build_parser().parse_args(
+        ["run", "--problem", "tridiag", "--tol", "1e-5", "--max-iters", "7", "--max-fevals", "9"]
+    )
+    run_config = _config_from_args(args).run_config
+    assert (run_config.tol, run_config.max_iters, run_config.max_fevals) == (1e-5, 7, 9)
+    # a file may set every RunConfig field
+    fields = {"tol": 1e-5, "max_iters": 7, "max_fevals": 9, "divergence_factor": 20.0}
+    assert set(fields) == {f.name for f in dataclasses.fields(RunConfig)}
+    cfg_path = tmp_path / "exp.json"
+    _write_config(cfg_path, run=fields)
+    assert load_experiment_config(cfg_path).run_config == RunConfig(**fields)
+
+
+def test_flags_override_invalid_file_values(tmp_path, capsys):
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(
+        json.dumps({"problem": {"kind": "tridiag", "n": 1}, "solvers": ["AA("]}), encoding="utf-8"
+    )
+    argv = ["run", "--config", str(cfg_path), "--max-iters", "5", "--out", str(tmp_path / "o")]
+    assert main(argv) == 1
+    assert main([*argv, "--param", "n=10"]) == 1  # the solver list is still invalid
+    assert main([*argv, "--solver", "AA(2)"]) == 1  # n is still invalid
+    capsys.readouterr()
+    assert main([*argv, "--param", "n=10", "--solver", "AA(2)"]) == 0
+    assert "AA(2): max_iters after 5 iters" in capsys.readouterr().out
+
+
 def test_main_switching_problem_kind_drops_file_params(tmp_path):
     cfg_path = tmp_path / "exp.json"
     _write_config(cfg_path)  # tridiag with n=30
@@ -390,6 +498,9 @@ def test_main_exit_codes(tmp_path, capsys):
     for argv in (
         ["--problem", "foo"],
         ["--problem", "bratu", "--param", "N=abc"],
+        ["--problem", "bratu", "--param", "N=3.5"],
+        ["--problem", "bratu", "--param", "N=4", "--param", "lam=nan"],
+        ["--problem", "convdiff", "--param", "N=4", "--param", "eps=inf"],
         ["--problem", "bratu", "--param", "N=1"],
         ["--problem", "convdiff", "--param", "scheme=sideways"],
     ):
@@ -400,6 +511,17 @@ def test_main_exit_codes(tmp_path, capsys):
     assert main(["run", "--problem", "foo", "--param", "N=3"]) == 1
     err = capsys.readouterr().err
     assert "unknown problem kind 'foo'" in err and "bratu" in err
+    # the casts keep the "must be int" / "must be float" messages
+    assert main(["run", "--problem", "bratu", "--param", "N=3.5"]) == 1
+    assert "bratu parameter N must be int, got '3.5'" in capsys.readouterr().err
+    assert main(["run", "--problem", "bratu", "--param", "N=4", "--param", "lam=nan"]) == 1
+    assert "bratu parameter lam must be float, got 'nan'" in capsys.readouterr().err
+    # a fractional integer value in a config file exits 1
+    frac = tmp_path / "frac.json"
+    frac.write_text(json.dumps({"problem": {"kind": "tridiag", "n": 3.5}}), encoding="utf-8")
+    assert main(["run", "--config", str(frac), "--out", str(tmp_path / "bad")]) == 1
+    assert "tridiag parameter n must be int, got 3.5" in capsys.readouterr().err
+    assert not (tmp_path / "bad").exists()
     # bad json exits 1
     bad = tmp_path / "bad.json"
     bad.write_text("{not json", encoding="utf-8")
