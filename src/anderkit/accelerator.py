@@ -77,18 +77,23 @@ def _qr_append(q: np.ndarray, r: np.ndarray, k: int, u: np.ndarray) -> bool:
     n = q.shape[0]
     if k + 1 >= n:
         return False
-    qk = q[:, :k]
-    c = qk.T @ u
-    v = u - qk @ c
-    c2 = qk.T @ v
-    v -= qk @ c2
+    if k:
+        qk = q[:, :k]
+        c = qk.T @ u
+        v = u - qk @ c
+        c2 = qk.T @ v
+        v -= qk @ c2
+    else:
+        # Projecting onto an empty basis subtracts exact zeros: v is u.
+        v = u
     rho = np.sqrt(v @ v)
     # Written so that a NaN (from a non-finite u) also refuses the column.
     if not rho > RANK_TOL * np.sqrt(u @ u):
         return False
     np.divide(v, rho, out=q[:, k])
-    r[:k, k] = c + c2
-    r[k, :k] = 0.0
+    if k:
+        r[:k, k] = c + c2
+        r[k, :k] = 0.0
     r[k, k] = rho
     return True
 
@@ -114,6 +119,9 @@ class HistoryWindow:
     n x (capacity - 1) Fortran-ordered array, and _r, its square triangle.
     Each push downdates and extends them in place, so factor is a pair of
     views of their leading p columns, valid until the window's next push.
+    A one-column factor is replaced, not downdated: deleting its only
+    column would leave nothing, so an evicting push onto a full
+    capacity-2 window writes the new column over q[:, 0] and r[0, 0].
     """
 
     def __init__(self, capacity: int, meter: WindowMeter | None = None):
@@ -181,7 +189,8 @@ class HistoryWindow:
         if self.factor is None:
             self._refactor()
             return
-        if evict:
+        # A one-column factor is not downdated: the append overwrites it.
+        if evict and p > 1:
             # Rotates the F-contiguous Q view and the R view in place.
             try:
                 scipy.linalg.qr_delete(

@@ -40,6 +40,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import os
 import re
 import sys
 import time
@@ -628,6 +629,22 @@ def _list_solvers(stream) -> None:
 
 
 def main(argv=None) -> int:
+    try:
+        code = _main(argv)
+        # Flushed here, so that a closed stdout (output piped into head)
+        # fails inside this try, not in the interpreter's exit flush.
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader is gone. Point fd 1 at devnull, so that the exit flush
+        # of what is still buffered writes nowhere instead of failing again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 2
+    return code
+
+
+def _main(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

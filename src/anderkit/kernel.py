@@ -16,10 +16,20 @@ differently. The optimal workspace sizes, which depend only on the block
 shape, are queried once per shape and cached. The finiteness check that
 check_finite made is kept: a non-finite matrix, or a non-finite Q^T rhs
 (which a non-finite rhs gives), raises ValueError.
+
+A 1 x 1 system, which every depth-1 window hands over, skips the LAPACK
+calls and does their arithmetic in closed form, bit for bit. dgeqp3
+leaves a 1 x 1 block as it is (tau = 0), so R = [a] and Q = [1]; a zero a
+is rank 0 and gives the zero solution whatever the rhs. Q^T b is a sum
+that starts from +0.0, so it is 0.0 + b, not b: the two differ only for
+b = -0.0, which 0.0 + b turns into +0.0, and the quotient's sign of zero
+follows (b = -0.0, a = -2 gives -0.0, not +0.0). dtrtrs then divides, so
+w = (0.0 + b) / a, which overflows to inf as dtrtrs does.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -39,9 +49,11 @@ def _as_vector(v, name: str) -> np.ndarray:
 
 def ordered_sum(v) -> float:
     """Sum of a 1-D array, accumulated strictly left to right."""
-    # cumsum is add.accumulate, which never reorders (unlike np.sum's
-    # pairwise summation). An empty vector sums to 0.0, as sum([]) does.
-    return float(np.cumsum(v)[-1]) if len(v) else 0.0
+    # add.accumulate never reorders (unlike np.sum's pairwise summation).
+    # It is what np.cumsum runs, called here without cumsum's Python
+    # dispatch layers, which cost more than the sum of a short vector. An
+    # empty vector sums to 0.0, as sum([]) does.
+    return float(np.add.accumulate(v)[-1]) if len(v) else 0.0
 
 
 def dot(a, b) -> float:
@@ -95,6 +107,15 @@ def least_squares(matrix, rhs) -> np.ndarray:
         raise ValueError(f"rhs length {b.shape[0]} does not match {n} rows")
     if not np.isfinite(a).all():
         raise ValueError("matrix must not contain infs or NaNs")
+    if n == 1:
+        # LAPACK's own arithmetic on a 1 x 1 block; see the module docstring.
+        pivot = float(a[0, 0])
+        if pivot == 0.0:
+            return np.zeros(1)
+        qtb = 0.0 + float(b[0])
+        if not math.isfinite(qtb):
+            raise ValueError("rhs must not contain infs or NaNs")
+        return np.array([qtb / pivot])
 
     geqp3_lwork, orgqr_lwork = _lwork(n, p)
     qr, piv, tau, _, info = lapack.dgeqp3(a, lwork=geqp3_lwork, overwrite_a=1)

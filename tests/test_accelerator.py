@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from anderkit.accelerator import (
     DampingPolicy,
     DivergedError,
     HistoryWindow,
     WindowMeter,
+    _qr_append,
     aa_step,
     optimized_beta,
     safeguard_beta,
@@ -413,6 +415,87 @@ def test_factor_is_updated_in_place_in_preallocated_storage():
         assert np.array_equal(r, np.triu(r))
         block = w.differences()[1].T
         assert np.allclose(q @ r, block, rtol=0.0, atol=1e-12)
+
+
+def _refuse_qr_delete(*args, **kwargs):
+    raise RuntimeError("qr_delete called")
+
+
+def test_capacity_two_window_replaces_its_one_column_factor(monkeypatch):
+    # A one-column factor is replaced, not downdated: every push leaves
+    # q = u / rho, r = [[rho]] for the live df row u, without qr_delete.
+    monkeypatch.setattr(scipy.linalg, "qr_delete", _refuse_qr_delete)
+    rng = np.random.default_rng(202)
+    n = 50
+    g = lambda x: np.cos(x) + 0.5
+    w = HistoryWindow(2)
+    x = rng.standard_normal(n)
+    for i in range(240):
+        if i != 120:  # push 120 repeats the iterate: a zero column
+            x = rng.standard_normal(n)
+        w.push(x, g(x))
+        if i == 0:
+            assert w.factor is None
+            continue
+        if i == 120:
+            assert w.factor is None
+            continue
+        u = w.differences()[1][0]
+        rho = np.sqrt(u @ u)
+        q, r = w.factor
+        assert q.shape == (n, 1) and r.shape == (1, 1)
+        assert np.array_equal(q[:, 0], u / rho), i
+        assert np.array_equal(r, [[rho]]), i
+
+
+def test_deeper_full_window_still_downdates_with_qr_delete(monkeypatch):
+    monkeypatch.setattr(scipy.linalg, "qr_delete", _refuse_qr_delete)
+    rng = np.random.default_rng(203)
+    w = HistoryWindow(3)
+    for _ in range(3):
+        x = rng.standard_normal(10)
+        w.push(x, x + rng.standard_normal(10))
+    assert w.factor is not None
+    x = rng.standard_normal(10)
+    with pytest.raises(RuntimeError, match="qr_delete called"):
+        w.push(x, x + rng.standard_normal(10))
+
+
+def test_qr_append_onto_an_empty_basis_equals_the_projection_formula():
+    rng = np.random.default_rng(204)
+    for n in (2, 3, 17, 50):
+        u = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n)
+        u[::2] = -0.0
+        u[-1] = 1.5
+        q = np.empty((n, 3), order="F")
+        r = np.zeros((3, 3))
+        assert _qr_append(q, r, 0, u)
+        # classical Gram-Schmidt with reorthogonalization, k = 0
+        qk = np.empty((n, 0))
+        c = qk.T @ u
+        v = u - qk @ c
+        c2 = qk.T @ v
+        v -= qk @ c2
+        rho = np.sqrt(v @ v)
+        want = v / rho
+        assert np.array_equal(q[:, 0], want)
+        assert np.array_equal(np.signbit(q[:, 0]), np.signbit(want))
+        assert np.array_equal(r, [[rho, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+
+
+def test_qr_append_onto_an_empty_basis_refuses_what_it_cannot_factor():
+    n = 6
+    bad_columns = [np.zeros(n), np.full(n, -0.0), np.ones(n), np.ones(n)]
+    bad_columns[2][3] = np.nan
+    bad_columns[3][1] = np.inf
+    for u in bad_columns:
+        q = np.zeros((n, 2), order="F")
+        r = np.zeros((2, 2))
+        assert not _qr_append(q, r, 0, u)
+        assert not r.any()
+    # one row has room for no column at all
+    for u in (np.array([2.0]), np.array([-0.0])):
+        assert not _qr_append(np.zeros((1, 1), order="F"), np.zeros((1, 1)), 0, u)
 
 
 # ---- damping ----

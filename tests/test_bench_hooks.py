@@ -3,10 +3,10 @@
 import importlib.util
 from pathlib import Path
 
-from anderkit import composer
+from anderkit import accelerator, composer
 from anderkit.accelerator import DampingPolicy
 from anderkit.composer import AA, Additive, Multiplicative, Picard, RunConfig
-from anderkit.problems import tridiag_problem
+from anderkit.problems import convdiff_problem, tridiag_problem
 
 _SPANS_PATH = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
@@ -80,3 +80,35 @@ def test_traced_solve_computes_each_residual_norm_once():
         pushes = trace.iters + 1
         want = pushes + mixed_per_step * (trace.iters - 1)
         assert tracer.layer("kernel.reductions").calls == want, spec
+
+
+def test_depth_one_solves_reach_the_rebound_least_squares(monkeypatch):
+    # Depth-1 windows solve 1 x 1 systems in closed form inside
+    # least_squares, so every mixing event with p >= 1 is still one call of
+    # the name the traced run rebinds.
+    spans = _load_spans()
+    problem = convdiff_problem(8)
+    for spec in (AA(1), Multiplicative(AA(1), AA(1))):
+        columns = []
+        original = accelerator.solve_mixing_coefficients
+
+        def spy(window):
+            columns.append(len(window) - 1)
+            return original(window)
+
+        tracer = spans.Tracer()
+        # The spy goes in before the rebinding, so the traced wrapper wraps it.
+        with monkeypatch.context() as patch:
+            patch.setattr(accelerator, "solve_mixing_coefficients", spy)
+            with spans.instrumented(tracer, [problem]) as traced:
+                twin = traced[id(problem)]
+                trace = composer.run(
+                    spec, twin, twin.default_start, RunConfig(tol=1e-300, max_iters=40)
+                )
+        assert trace.iters == 40
+        assert len(columns) == sum(len(row.mixing_checks) for row in trace.rows)
+        solves = sum(p >= 1 for p in columns)
+        assert solves == trace.iters - 1, spec
+        ls = tracer.layer("kernel.least_squares")
+        assert ls.calls == solves, spec
+        assert tracer.counters["ls_cols"] == solves, spec

@@ -4,6 +4,10 @@ import csv
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -570,3 +574,37 @@ def test_every_export_resolves_once():
     assert len(anderkit.__all__) == len(set(anderkit.__all__))
     missing = [name for name in anderkit.__all__ if not hasattr(anderkit, name)]
     assert missing == []
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["list-solvers"],
+        ["run", "--problem", "tridiag", "--param", "n=8", "--solver", "AA(1)", "--max-iters", "3"],
+    ],
+)
+def test_closed_stdout_exits_with_the_io_code_and_no_traceback(args, tmp_path):
+    # The pipe's read end is closed before the child starts, so its first
+    # write to stdout fails, as when the output is piped into head.
+    src = str(Path(anderkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "anderkit.cli", *args],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            cwd=tmp_path,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "Exception ignored" not in proc.stderr
+    if args[0] == "run":
+        # the results were written before the final print failed
+        assert (tmp_path / "results" / "summary.csv").is_file()

@@ -194,3 +194,47 @@ def test_least_squares_is_bit_identical_to_the_scipy_wrapper_solve():
     assert len(cases) >= 300
     for kind, mat, rhs in cases:
         assert np.array_equal(least_squares(mat, rhs), _scipy_least_squares(mat, rhs)), kind
+
+
+def _assert_same_bits(got, want, case):
+    assert np.array_equal(got, want), case
+    assert np.array_equal(np.signbit(got), np.signbit(want)), case
+
+
+def test_least_squares_one_by_one_closed_form_matches_the_scipy_wrapper_solve():
+    # The closed form (0.0 + b) / a must round, overflow and sign its zeros
+    # exactly as the pivoted QR and triangular solve do.
+    rng = np.random.default_rng(37)
+
+    def signed(size):
+        return rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-300.0, 300.0, size)
+
+    special_a = [5e-324, -5e-324, 1e-310, -2.2e-308, 1e-300, -1.0, 2.0, 1e300]
+    special_b = [0.0, -0.0, 5e-324, -5e-324, -1e-310, 1.0, -1.0, 1e300]
+    cases = list(zip(signed(4000), signed(4000)))
+    cases += [(a, b) for a in special_a for b in special_b]
+    cases += [(a, b) for a in signed(200) for b in (0.0, -0.0)]
+    for a, b in cases:
+        mat, rhs = np.array([[a]]), np.array([b])
+        _assert_same_bits(least_squares(mat, rhs), _scipy_least_squares(mat, rhs), (a, b))
+    # The quotient overflows to inf, as the triangular solve's does.
+    w = least_squares(np.array([[1e-310]]), np.array([1.0]))
+    assert np.isinf(w[0]) and w[0] > 0.0
+    _assert_same_bits(w, _scipy_least_squares(np.array([[1e-310]]), np.array([1.0])), "overflow")
+    # A zero pivot of either sign is rank 0 and gives +0.0.
+    for a in (0.0, -0.0):
+        for b in (-3.0, -0.0, 5e-324):
+            _assert_same_bits(least_squares(np.array([[a]]), np.array([b])), np.zeros(1), (a, b))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_least_squares_one_by_one_keeps_the_error_contract(bad):
+    with pytest.raises(ValueError, match="matrix"):
+        least_squares(np.array([[bad]]), np.array([1.0]))
+    # a zero matrix is rank 0: its coefficients are zero whatever the rhs
+    for zero in (0.0, -0.0):
+        w = least_squares(np.array([[zero]]), np.array([bad]))
+        _assert_same_bits(w, np.zeros(1), (zero, bad))
+    for a in (1.0, -2.5, 5e-324):
+        with pytest.raises(ValueError, match="rhs"):
+            least_squares(np.array([[a]]), np.array([bad]))
