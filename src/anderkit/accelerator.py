@@ -223,11 +223,6 @@ class HistoryWindow:
         live = slice(self._head, self._head + self._len - 1)
         return self._dx[live], self._df[live]
 
-    def combine(self, gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(dX gamma, dF gamma) for gamma over the columns, oldest first."""
-        dx, df = self.differences()
-        return gamma @ dx, gamma @ df
-
     def tail(self, k: int) -> "HistoryWindow":
         """Read-only view of the newest min(k, len) iterates, unmetered.
 
@@ -351,11 +346,12 @@ def solve_mixing_coefficients(window: HistoryWindow) -> MixingResult:
         return MixingResult(
             alpha=np.array([1.0]), x_avg=newest.x, gx_avg=newest.gx, mixed_norm=newest.f_norm
         )
+    dx, df = window.differences()
     if window.factor is not None:
         q, r = window.factor
         gamma = least_squares(r, q.T @ newest.f)
     else:
-        block = window.differences()[1].T
+        block = df.T
         rhs = newest.f
         n = rhs.shape[0]
         if p > n:
@@ -364,11 +360,10 @@ def solve_mixing_coefficients(window: HistoryWindow) -> MixingResult:
             block = np.vstack((block, np.zeros((p - n, p))))
             rhs = np.concatenate((rhs, np.zeros(p - n)))
         gamma = least_squares(block, rhs)
-    dx_gamma, df_gamma = window.combine(gamma)
-    x_avg = newest.x - dx_gamma
-    mixed = newest.f - df_gamma
+    x_avg = newest.x - gamma @ dx
+    mixed = newest.f - gamma @ df
     # alpha = diff([0, gamma, 1])
-    alpha = np.append(gamma, 1.0)
+    alpha = np.concatenate((gamma, (1.0,)))
     alpha[1:] -= gamma
     return MixingResult(alpha=alpha, x_avg=x_avg, gx_avg=x_avg + mixed, mixed_norm=norm2(mixed))
 

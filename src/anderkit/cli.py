@@ -229,59 +229,11 @@ def parse_spec(text: str) -> AcceleratorSpec:
     return _SpecParser(text).parse()
 
 
-def _fmt_num(x: float) -> str:
-    return repr(float(x))
-
-
-def _render_windowed(node: AA, inner: str | None = None) -> str:
-    policy = node.damping
-    if policy.kind == "optimized":
-        head = f"AAoptD({node.m}"
-    else:
-        head = f"AA({node.m}"
-    body = head + (f",{inner})" if inner is not None else ")")
-    if policy.kind == "constant":
-        body += f";beta={_fmt_num(policy.beta)}"
-    elif policy.kind == "optimized":
-        if policy.safeguard != "off" or policy.eta != DampingPolicy.eta:
-            body += f";eta={_fmt_num(policy.eta)}"
-        if policy.safeguard != "off":
-            body += f";guard={policy.safeguard}"
-    return body
-
-
 def render_spec(spec: AcceleratorSpec) -> str:
     """Canonical grammar string for a spec; parse(render(s)) == s."""
-    if isinstance(spec, Picard):
-        return "picard"
-    if isinstance(spec, AA):
-        return _render_windowed(spec)
-    if isinstance(spec, Multiplicative):
-        if spec.outer.damping.kind == "constant":
-            raise ValueError("constant-damped outer accelerators have no grammar form")
-        text = _render_windowed(spec.outer, render_spec(spec.inner))
-        if spec.iter_n != 1:
-            text += f";iterN={spec.iter_n}"
-        return text
-    if isinstance(spec, Additive):
-        body = f"ADD({render_spec(spec.left)},{render_spec(spec.right)}"
-        if (spec.w_left, spec.w_right) != (0.5, 0.5):
-            body += f",{_fmt_num(spec.w_left)},{_fmt_num(spec.w_right)}"
-        return body + ")"
-    raise TypeError(f"not an accelerator spec: {spec!r}")
-
-
-def presentation_scale(spec: AcceleratorSpec) -> int:
-    """Iteration multiplier for cost-honest cross-method iteration plots.
-
-    Composed methods take several accelerated sub-steps per outer
-    iteration, so their iteration axis is stretched accordingly.
-    """
-    if isinstance(spec, Additive):
-        return 2
-    if isinstance(spec, Multiplicative):
-        return 1 + spec.iter_n
-    return 1
+    if not isinstance(spec, AcceleratorSpec):
+        raise TypeError(f"not an accelerator spec: {spec!r}")
+    return spec.label
 
 
 # kind -> (factory, {key: (cast, default)}), keys in the factory's argument order.
@@ -340,7 +292,7 @@ class ExperimentConfig:
         build_problem(self.problem_kind, self.problem_params)
         if not self.solvers:
             raise ValueError("at least one solver spec is required")
-        labels = [render_spec(parse_spec(text)) for text in self.solvers]
+        labels = [parse_spec(text).label for text in self.solvers]
         repeated = sorted({label for label in labels if labels.count(label) > 1})
         if repeated:
             raise ValueError(f"solvers repeat the labels {repeated}; each label names one CSV")
@@ -404,17 +356,17 @@ def run_experiment(config: ExperimentConfig):
     Per solver: <label>.csv with the trace columns. Plus summary.csv with
     one line per solver. Returns the (label, trace) pairs in order.
     """
-    specs = [(text, parse_spec(text)) for text in config.solvers]
+    specs = [parse_spec(text) for text in config.solvers]
     problem = build_problem(config.problem_kind, config.problem_params)
     out = config.output
     out.mkdir(parents=True, exist_ok=True)
 
     results = []
     summary_rows = [SUMMARY_COLUMNS]
-    for _, spec in specs:
-        label = render_spec(spec)
+    for spec in specs:
+        label = spec.label
         trace = run(spec, problem, problem.default_start, config.run_config)
-        scale = presentation_scale(spec) if config.paper_style_iters else 1
+        scale = spec.iter_scale if config.paper_style_iters else 1
         write_trace_csv(trace, out / f"{label}.csv", iter_scale=scale)
         summary_rows.append(
             (
@@ -460,6 +412,14 @@ def _check_feval_budget():
         assert trace.fevals == want, (name, trace.fevals, want)
 
 
+def _check_hard_budget():
+    problem = tridiag_problem(30)
+    trace = run(parse_spec("AA(3,AA(1));iterN=7"), problem, problem.default_start,
+                RunConfig(tol=1e-300, max_fevals=10))
+    assert trace.termination == Termination.MAX_FEVALS and trace.fevals <= 10, (
+        trace.termination, trace.fevals)
+
+
 def _check_memory():
     problem = tridiag_problem(40)
     cfg = RunConfig(tol=1e-300, max_iters=12)
@@ -501,6 +461,7 @@ def _affine_problem(mat: np.ndarray, offset: np.ndarray):
 _CHECKS = (
     ("full window converges where picard stalls", _check_window_reaches_gmres_bound),
     ("evaluation budgets per step", _check_feval_budget),
+    ("evaluation budget is a hard cap", _check_hard_budget),
     ("window memory accounting", _check_memory),
     ("gmres reference sanity", _check_gmres),
     ("tridiagonal closed-form solution", _check_tridiag_solution),

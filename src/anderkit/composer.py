@@ -11,6 +11,12 @@ steps (its depth plus the largest window it opens for one step). A step
 returns one flat record holding the next iterate and the fields of its trace
 row. `_advance` is the only place that evaluates g on a produced iterate,
 checks that the image is finite and pushes the pair onto a window.
+
+Each node also describes itself: `label` is its canonical grammar string,
+`iter_scale` the sub-steps one step counts for in paper-style iteration
+plots, and `cost_per_step` the g evaluations one run() step spends on it.
+That cost is built from `step_evals`, the evaluations made inside step():
+a node that hands back no image leaves one more to the caller.
 """
 
 from __future__ import annotations
@@ -35,11 +41,17 @@ from .diagnostics import ConvergenceTrace, Termination, TraceRow
 from .kernel import norm2  # noqa: F401
 
 
+def _num(x: float) -> str:
+    return repr(float(x))
+
+
 @dataclass(frozen=True)
 class Picard:
     """Plain fixed-point iteration x <- g(x)."""
 
-    depth = memory = 1
+    depth = memory = iter_scale = cost_per_step = 1
+    step_evals = 0
+    label = "picard"
 
     def step(self, window: HistoryWindow, g) -> StepOutcome:
         return _PLAIN.step(window, g)
@@ -61,6 +73,33 @@ class AA:
         return self.m + 1
 
     memory = depth
+    iter_scale = 1
+
+    @property
+    def step_evals(self) -> int:
+        return 2 if self.damping.kind == "optimized" else 0
+
+    @property
+    def cost_per_step(self) -> int:
+        return self.step_evals + 1
+
+    @property
+    def label(self) -> str:
+        return self.label_with()
+
+    def label_with(self, inner: str = "") -> str:
+        """The grammar string with `inner` (",SPEC" or "") inside the parentheses."""
+        policy = self.damping
+        name = "AAoptD" if policy.kind == "optimized" else "AA"
+        text = f"{name}({self.m}{inner})"
+        if policy.kind == "constant":
+            text += f";beta={_num(policy.beta)}"
+        elif policy.kind == "optimized":
+            if policy.safeguard != "off" or policy.eta != DampingPolicy.eta:
+                text += f";eta={_num(policy.eta)}"
+            if policy.safeguard != "off":
+                text += f";guard={policy.safeguard}"
+        return text
 
     def step(self, window: HistoryWindow, g) -> StepOutcome:
         return aa_step(window.tail(self.depth), self.damping, g)
@@ -83,7 +122,8 @@ class Additive:
     w_right: float = 0.5
 
     def __post_init__(self):
-        if abs(self.w_left + self.w_right - 1.0) > 1e-12:
+        # Written so that NaN weights (or inf - inf) fail the check too.
+        if not abs(self.w_left + self.w_right - 1.0) <= 1e-12:
             raise ValueError(
                 f"weights must sum to 1, got {self.w_left} + {self.w_right}"
             )
@@ -97,6 +137,25 @@ class Additive:
         # The branches step in turn, so only the larger of their transient
         # windows is live on top of the shared one.
         return self.depth + max(b.memory - b.depth for b in (self.left, self.right))
+
+    iter_scale = 2
+
+    @property
+    def step_evals(self) -> int:
+        return self.left.step_evals + self.right.step_evals
+
+    @property
+    def cost_per_step(self) -> int:
+        # The blend hands back no image (a multiplicative branch's is dropped),
+        # so run() evaluates it.
+        return self.step_evals + 1
+
+    @property
+    def label(self) -> str:
+        text = f"ADD({self.left.label},{self.right.label}"
+        if (self.w_left, self.w_right) != (0.5, 0.5):
+            text += f",{_num(self.w_left)},{_num(self.w_right)}"
+        return text + ")"
 
     def step(self, window: HistoryWindow, g) -> StepOutcome:
         lo = self.left.step(window, g)
@@ -133,6 +192,31 @@ class Multiplicative:
     @property
     def memory(self) -> int:
         return self.outer.depth + self.inner.memory
+
+    @property
+    def iter_scale(self) -> int:
+        return 1 + self.iter_n
+
+    @property
+    def step_evals(self) -> int:
+        if self.iter_n == 0:
+            return self.outer.step_evals
+        # g at the outer result, then iter_n inner steps that each end evaluated.
+        return self.outer.step_evals + 1 + self.iter_n * self.inner.cost_per_step
+
+    @property
+    def cost_per_step(self) -> int:
+        # With iter_n > 0 the step hands back its image; otherwise run() evaluates it.
+        return self.step_evals + (self.iter_n == 0)
+
+    @property
+    def label(self) -> str:
+        if self.outer.damping.kind == "constant":
+            raise ValueError("constant-damped outer accelerators have no grammar form")
+        text = self.outer.label_with(f",{self.inner.label}")
+        if self.iter_n != 1:
+            text += f";iterN={self.iter_n}"
+        return text
 
     def step(self, window: HistoryWindow, g) -> StepOutcome:
         oo = self.outer.step(window, g)
@@ -231,6 +315,8 @@ def run(
     meter = meter if meter is not None else WindowMeter()
     g = CountingMap(problem.g)
     window = HistoryWindow(spec.depth, meter)
+    # Read once: the property recurses through the spec tree.
+    cost = spec.cost_per_step
     start = time.perf_counter_ns()
 
     rows: list[TraceRow] = []
@@ -252,7 +338,7 @@ def run(
         if k >= config.max_iters:
             termination = Termination.MAX_ITERS
             break
-        if g.calls >= config.max_fevals:
+        if g.calls + cost > config.max_fevals:
             termination = Termination.MAX_FEVALS
             break
         try:

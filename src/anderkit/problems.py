@@ -19,9 +19,6 @@ import numpy as np
 
 from .kernel import norm2
 
-# Dense assembly is an oracle path for small grids only.
-_DENSE_LIMIT = 32
-
 
 @dataclass
 class Grid2D:
@@ -212,56 +209,6 @@ def tridiag_problem(n: int = 100) -> FixedPointProblem:
         params={"n": n, "b": b, "a_apply": a_apply, "operator_diag": 2.0},
         known_solution=known,
     )
-
-
-def _dense_guard(n_side: int) -> None:
-    if n_side > _DENSE_LIMIT:
-        raise ValueError(
-            f"dense assembly is an oracle path, limited to n_side <= {_DENSE_LIMIT}"
-        )
-
-
-def bratu_dense_operator(n_side: int) -> np.ndarray:
-    """Dense linear part of the Bratu stencil (entry loops, oracle path)."""
-    _dense_guard(n_side)
-    grid = Grid2D(n_side)
-    a = np.zeros((grid.unknowns, grid.unknowns))
-    for i in range(n_side):
-        for j in range(n_side):
-            row = grid.index(i, j)
-            a[row, row] = 4.0
-            for di, dj, coeff in ((0, 1, -1.0), (0, -1, -1.0), (1, 0, -1.0), (-1, 0, -1.0)):
-                ii, jj = i + di, j + dj
-                if 0 <= ii < n_side and 0 <= jj < n_side:
-                    a[row, grid.index(ii, jj)] = coeff
-    return a
-
-
-def convdiff_dense_operator(n_side: int, eps: float, scheme: str = "centered") -> np.ndarray:
-    """Dense linear convection-diffusion operator (entry loops, oracle path)."""
-    _dense_guard(n_side)
-    if scheme not in ("centered", "upwind"):
-        raise ValueError(f"scheme must be 'centered' or 'upwind', got {scheme!r}")
-    grid = Grid2D(n_side)
-    h = grid.h
-    if scheme == "centered":
-        diag = 4.0 * eps
-        east = north = -eps + 0.5 * h
-        west = south = -eps - 0.5 * h
-    else:
-        diag = 4.0 * eps + 2.0 * h
-        east = north = -eps
-        west = south = -eps - h
-    a = np.zeros((grid.unknowns, grid.unknowns))
-    for i in range(n_side):
-        for j in range(n_side):
-            row = grid.index(i, j)
-            a[row, row] = diag
-            for di, dj, coeff in ((0, 1, east), (0, -1, west), (1, 0, north), (-1, 0, south)):
-                ii, jj = i + di, j + dj
-                if 0 <= ii < n_side and 0 <= jj < n_side:
-                    a[row, grid.index(ii, jj)] = coeff
-    return a
 
 
 def gmres_reference(

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import anderkit
-from anderkit.accelerator import DampingPolicy
+from anderkit.accelerator import DampingPolicy, WindowMeter
 from anderkit.cli import (
     ExperimentConfig,
     SpecParseError,
@@ -25,12 +25,12 @@ from anderkit.cli import (
     load_experiment_config,
     main,
     parse_spec,
-    presentation_scale,
     render_spec,
     run_experiment,
 )
-from anderkit.composer import AA, Additive, Multiplicative, Picard, RunConfig
+from anderkit.composer import AA, Additive, Multiplicative, Picard, RunConfig, run
 from anderkit.diagnostics import read_trace_rows
+from anderkit.problems import tridiag_problem
 
 
 # ---- parsing ----
@@ -99,6 +99,7 @@ def test_parse_tolerates_whitespace():
         "AAoptD(2);guard=maybe",
         "AA(2);gamma=1",
         "ADD(AA(1),AA(2),0.2,0.3)",  # weights must sum to one
+        "ADD(picard,AA(1),1e400,-1e400)",  # inf - inf is NaN, not one
     ],
 )
 def test_parse_rejects_malformed(text):
@@ -196,11 +197,23 @@ def test_render_rejects_unrepresentable():
 
 
 def test_presentation_scale():
-    assert presentation_scale(Picard()) == 1
-    assert presentation_scale(AA(5)) == 1
-    assert presentation_scale(Additive(AA(5), AA(1))) == 2
-    assert presentation_scale(Multiplicative(AA(5), AA(1))) == 2
-    assert presentation_scale(Multiplicative(AA(5), AA(1), iter_n=4)) == 5
+    assert Picard().iter_scale == 1
+    assert AA(5).iter_scale == 1
+    assert Additive(AA(5), AA(1)).iter_scale == 2
+    assert Multiplicative(AA(5), AA(1)).iter_scale == 2
+    assert Multiplicative(AA(5), AA(1), iter_n=4).iter_scale == 5
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(spec=_specs(3))
+def test_cost_per_step_and_memory_hold_on_random_specs(spec):
+    problem = tridiag_problem(30)
+    meter = WindowMeter()
+    trace = run(spec, problem, problem.default_start, RunConfig(tol=1e-300, max_iters=12),
+                meter=meter)
+    fevals = [row.fevals for row in trace.rows]
+    assert all(b - a == spec.cost_per_step for a, b in zip(fevals, fevals[1:])), fevals
+    assert meter.peak <= spec.memory
 
 
 # ---- configs and problems ----

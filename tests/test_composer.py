@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from anderkit.accelerator import DampingPolicy, WindowMeter
+from anderkit.cli import parse_spec
 from anderkit.composer import (
     AA,
     Additive,
@@ -14,7 +15,7 @@ from anderkit.composer import (
     run,
 )
 from anderkit.diagnostics import Termination
-from anderkit.problems import FixedPointProblem
+from anderkit.problems import FixedPointProblem, tridiag_problem
 
 
 def affine_problem(seed=0, n=8, scale=0.8):
@@ -42,6 +43,8 @@ def test_spec_validation():
         AA(-1)
     with pytest.raises(ValueError):
         Additive(AA(1), AA(2), 0.7, 0.2)
+    with pytest.raises(ValueError):
+        Additive(Picard(), AA(1), float("nan"), float("nan"))
     with pytest.raises(ValueError):
         Multiplicative(Picard(), AA(1))
     with pytest.raises(ValueError):
@@ -140,6 +143,29 @@ def test_feval_totals_for_ten_steps():
         trace = run(spec, p, p.default_start, cfg)
         assert trace.termination == Termination.MAX_ITERS
         assert trace.fevals == want, (spec, trace.fevals)
+
+
+@pytest.mark.parametrize(
+    "text, cost",
+    [
+        ("picard", 1),
+        ("AA(3)", 1),
+        ("AAoptD(3)", 3),
+        ("ADD(AA(3),AAoptD(1))", 3),
+        ("AA(3,AA(1));iterN=7", 8),
+        ("AAoptD(2,AAoptD(1));iterN=2", 9),
+        ("ADD(AA(2,AA(1)),AAoptD(2,ADD(AA(1),picard)))", 7),
+    ],
+)
+def test_cost_per_step_and_the_hard_evaluation_budget(text, cost):
+    spec = parse_spec(text)
+    assert spec.cost_per_step == cost
+    p = tridiag_problem(30)
+    trace = run(spec, p, p.default_start, RunConfig(tol=1e-300, max_fevals=10))
+    assert trace.termination == Termination.MAX_FEVALS
+    # no step starts that the budget cannot pay for in full
+    assert 10 - cost < trace.fevals <= 10
+    assert trace.fevals == 1 + cost * trace.iters
 
 
 def test_feval_column_is_cumulative_and_monotone():
