@@ -24,6 +24,7 @@ onto it raises.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -411,16 +412,20 @@ def aa_step(
     mixing check (theta, sum_i alpha_i). gx_next is None: nothing has
     evaluated g at the next iterate yet. The optimized policy spends
     exactly two g evaluations (at the averaged iterate and at the averaged
-    g-image); the other policies spend none.
+    g-image); the other policies spend none. An undamped step returns the
+    averaged g-image itself, which for a one-entry window is the stored g(x).
     """
     mix = solve_mixing_coefficients(window)
     fk_norm = window.newest().f_norm
     theta = mix.mixed_norm / fk_norm if fk_norm > 0.0 else 0.0
+    # A finite ||f|| proves x and g(x) finite, and a one-entry window's
+    # undamped step is its g(x), so only that step skips the check below.
+    checked = True
 
     if policy.kind == "optimized":
         gp = g(mix.x_avg)
         gq = g(mix.gx_avg)
-        if not (np.all(np.isfinite(gp)) and np.all(np.isfinite(gq))):
+        if not (np.isfinite(gp).all() and np.isfinite(gq).all()):
             raise DivergedError("damping probe evaluations left the finite range")
         r_p = mix.x_avg - gp
         r_q = mix.gx_avg - gq
@@ -428,8 +433,14 @@ def aa_step(
         x_next = mix.x_avg + beta * (mix.gx_avg - mix.x_avg)
     else:
         beta = 1.0 if policy.kind == "none" else policy.beta
-        x_next = (1.0 - beta) * mix.x_avg + beta * mix.gx_avg
+        if beta == 1.0:
+            # Equal in value to the blend below, which would add 0 * x_avg:
+            # only the sign of a zero entry can differ.
+            x_next = mix.gx_avg
+            checked = len(window) > 1 or not math.isfinite(fk_norm)
+        else:
+            x_next = (1.0 - beta) * mix.x_avg + beta * mix.gx_avg
 
-    if not np.all(np.isfinite(x_next)):
+    if checked and not np.isfinite(x_next).all():
         raise DivergedError("next iterate left the finite range")
     return StepOutcome(x_next, None, beta, theta, mix.alpha_abs_sum, ((theta, mix.alpha_sum),))

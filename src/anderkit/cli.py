@@ -631,13 +631,17 @@ def _main(argv) -> int:
     except OSError as exc:
         print(f"anderkit: cannot write results: {exc}", file=sys.stderr)
         return 2
+    failed = False
     for label, trace in results:
         print(
             f"{label}: {trace.termination.value} after {trace.iters} iters, "
             f"{trace.fevals} fevals, final residual {trace.final_res:.3e}"
         )
+        if trace.termination == Termination.FAILED:
+            failed = True
+            print(f"anderkit: {label} failed: {trace.error}", file=sys.stderr)
     print(f"wrote {config.output}/summary.csv")
-    return 0
+    return 3 if failed else 0
 
 
 if __name__ == "__main__":

@@ -21,6 +21,7 @@ a node that hands back no image leaves one more to the caller.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Union
@@ -161,7 +162,7 @@ class Additive:
         lo = self.left.step(window, g)
         ro = self.right.step(window, g)
         x_next = self.w_left * lo.x_next + self.w_right * ro.x_next
-        if not np.all(np.isfinite(x_next)):
+        if not np.isfinite(x_next).all():
             raise DivergedError("blended iterate left the finite range")
         theta = max(lo.theta, ro.theta)
         abs_sum = max(lo.alpha_abs_sum, ro.alpha_abs_sum)
@@ -283,7 +284,7 @@ def _advance(window: HistoryWindow, x: np.ndarray, gx, g) -> WindowEntry:
     """
     if gx is None:
         gx = g(x)
-    if not np.all(np.isfinite(gx)):
+    if not np.isfinite(gx).all():
         raise DivergedError("evaluation left the finite range")
     window.push(x, gx)
     return window.newest()
@@ -302,6 +303,11 @@ def run(
     from the solver's step. Each trace row records the residual recomputed
     from the freshly evaluated pair, cumulative evaluation counts, and the
     step's mixing diagnostics.
+
+    Invalid arguments raise before the first evaluation. After that, any
+    exception but DivergedError from an evaluation or a step (a failing g,
+    a LinAlgError from the kernel) ends the run as FAILED: the rows so far
+    are kept and the trace's error names the exception.
     """
     config = config if config is not None else RunConfig()
     x = np.asarray(x0, dtype=float)
@@ -321,11 +327,14 @@ def run(
 
     rows: list[TraceRow] = []
     termination: Termination | None = None
+    error: str | None = None
 
     try:
         res0 = _advance(window, x, None, g).f_norm
     except DivergedError:
         termination = Termination.DIVERGED
+    except Exception as exc:  # noqa: BLE001 - kept on the trace
+        termination, error = Termination.FAILED, _describe(exc)
     else:
         rows.append(
             TraceRow(k=0, fevals=g.calls, res_norm=res0, wall_ns=time.perf_counter_ns() - start)
@@ -347,6 +356,9 @@ def run(
         except DivergedError:
             termination = Termination.DIVERGED
             break
+        except Exception as exc:  # noqa: BLE001 - kept on the trace
+            termination, error = Termination.FAILED, _describe(exc)
+            break
         k += 1
         rows.append(
             TraceRow(
@@ -363,8 +375,12 @@ def run(
         )
         if res <= config.tol:
             termination = Termination.CONVERGED
-        elif not np.isfinite(res) or res > config.divergence_factor * res0:
+        elif not math.isfinite(res) or res > config.divergence_factor * res0:
             termination = Termination.DIVERGED
 
     window.close()
-    return ConvergenceTrace(rows=rows, termination=termination)
+    return ConvergenceTrace(rows=rows, termination=termination, error=error)
+
+
+def _describe(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"

@@ -16,6 +16,8 @@ class Termination(str, Enum):
     MAX_ITERS = "max_iters"
     MAX_FEVALS = "max_fevals"
     DIVERGED = "diverged"
+    # g or a step raised; ConvergenceTrace.error holds the message.
+    FAILED = "failed"
 
 
 @dataclass
@@ -40,8 +42,14 @@ class TraceRow:
 
 @dataclass
 class ConvergenceTrace:
+    """The rows of a run and why it ended.
+
+    error is "ExceptionType: message" when the run ended as FAILED, else None.
+    """
+
     rows: list[TraceRow]
     termination: Termination
+    error: str | None = None
 
     @property
     def final_res(self) -> float:

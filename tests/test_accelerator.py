@@ -650,12 +650,67 @@ def test_step_optimized_interior_beta_on_expanding_map():
     assert step.x_next[0] == pytest.approx(1.0)  # 0 + (1/3)*3 lands on the fixed point
 
 
+@pytest.mark.parametrize("policy", [DampingPolicy.none(), DampingPolicy.constant(1.0)])
+@pytest.mark.parametrize("p", [0, 1, 2, 5])
+def test_undamped_step_equals_the_beta_one_blend(p, policy):
+    # The undamped step returns the averaged image instead of computing the
+    # blend; the two may differ only in the sign of a zero entry.
+    rng = np.random.default_rng(71 + p)
+    mat = rng.standard_normal((12, 12))
+    mat *= 0.9 / np.linalg.norm(mat, 2)
+    g = lambda x: mat @ x + 1.0
+    w = HistoryWindow(p + 1)
+    x = rng.standard_normal(12)
+    for _ in range(p + 1):
+        _push_with(g, w, x)
+        x = g(x) + 0.1 * rng.standard_normal(12)
+    assert len(w) - 1 == p
+    mix = solve_mixing_coefficients(w)
+    step = aa_step(w, policy, g)
+    assert step.beta == 1.0
+    assert np.array_equal(step.x_next, (1.0 - 1.0) * mix.x_avg + 1.0 * mix.gx_avg)
+
+
+def test_single_entry_step_is_checked_unless_its_norm_is_finite(monkeypatch):
+    # A finite ||f|| proves the one-entry step finite, so it is not checked.
+    # Here f is finite but ||f|| overflows: the step is checked and, being
+    # finite, returned.
+    checked = []
+    isfinite = np.isfinite
+
+    def spy(a):
+        checked.append(a)
+        return isfinite(a)
+
+    for gx, want_checked in (([1.0, 2.0], False), ([1e200, 1e200], True)):
+        w = HistoryWindow(1)
+        w.push(np.zeros(2), np.array(gx))
+        assert np.isfinite(w.newest().f_norm) != want_checked
+        checked.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "isfinite", spy)
+            step = aa_step(w, DampingPolicy.none(), lambda x: x)
+        assert np.array_equal(step.x_next, gx)
+        assert any(a is step.x_next for a in checked) == want_checked, gx
+
+
 def test_step_non_finite_next_iterate_raises():
     g = lambda x: x * np.inf
     w = HistoryWindow(1)
     w.push(np.array([1.0]), np.array([np.inf]))
     with pytest.raises(DivergedError):
         aa_step(w, DampingPolicy.none(), g)
+
+
+def test_deeper_undamped_step_is_checked_though_its_norm_is_finite():
+    # Two entries: the mixing extrapolates by about 1e12 along a 1e300
+    # difference, so the averaged image overflows while ||f_k|| is 1.
+    w = HistoryWindow(2)
+    w.push(np.zeros(2), np.array([0.0, 1.0]))
+    w.push(np.array([1e300, 0.0]), np.array([1e300, 1.0 + 2.0**-40]))
+    assert np.isfinite(w.newest().f_norm)
+    with np.errstate(over="ignore"), pytest.raises(DivergedError):
+        aa_step(w, DampingPolicy.none(), lambda x: x)
 
 
 def test_step_non_finite_probe_raises():

@@ -82,6 +82,24 @@ def test_traced_solve_computes_each_residual_norm_once():
         assert tracer.layer("kernel.reductions").calls == want, spec
 
 
+def test_undamped_steps_still_reach_the_rebound_mixing_names():
+    # The undamped step returns the averaged image without blending, but
+    # every step still mixes once through the rebound solve and reads both
+    # coefficient sums, and no norm is added or dropped.
+    spans = _load_spans()
+    problem = tridiag_problem(30)
+    for spec, mixed_per_step in ((Picard(), 0), (AA(1), 1)):
+        tracer = spans.Tracer()
+        with spans.instrumented(tracer, [problem]) as traced:
+            twin = traced[id(problem)]
+            trace = composer.run(spec, twin, twin.default_start, RunConfig(tol=1e-300, max_iters=10))
+        assert trace.iters == 10
+        assert tracer.layer("accelerator.mix").calls == trace.iters, spec
+        assert tracer.layer("accelerator.mix_sums").calls == 2 * trace.iters, spec
+        want = trace.iters + 1 + mixed_per_step * (trace.iters - 1)
+        assert tracer.layer("kernel.reductions").calls == want, spec
+
+
 def test_depth_one_solves_reach_the_rebound_least_squares(monkeypatch):
     # Depth-1 windows solve 1 x 1 systems in closed form inside
     # least_squares, so every mixing event with p >= 1 is still one call of

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import anderkit
+from anderkit import accelerator
 from anderkit.accelerator import DampingPolicy, WindowMeter
 from anderkit.cli import (
     ExperimentConfig,
@@ -492,6 +493,22 @@ def test_main_switching_problem_kind_drops_file_params(tmp_path):
         ]
     )
     assert code == 0
+
+
+def test_main_exits_3_when_a_solver_fails_and_runs_the_rest(tmp_path, capsys, monkeypatch):
+    def singular(matrix, rhs):
+        raise np.linalg.LinAlgError("singular")
+
+    monkeypatch.setattr(accelerator, "least_squares", singular)
+    out = tmp_path / "out"
+    argv = ["run", "--problem", "tridiag", "--param", "n=10", "--solver", "AA(2)",
+            "--solver", "picard", "--max-iters", "20", "--out", str(out)]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert "anderkit: AA(2) failed: LinAlgError: singular" in captured.err
+    rows = list(csv.reader(io.StringIO((out / "summary.csv").read_text(encoding="utf-8"))))
+    assert [row[:3] for row in rows[1:]] == [["AA(2)", "failed", "1"], ["picard", "max_iters", "20"]]
+    assert len(read_trace_rows(out / "AA(2).csv")) == 2
 
 
 def test_main_exit_codes(tmp_path, capsys):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from anderkit import accelerator
 from anderkit.accelerator import DampingPolicy, WindowMeter
 from anderkit.cli import parse_spec
 from anderkit.composer import (
@@ -282,6 +283,48 @@ def test_diverged_at_seed_returns_empty_trace():
     assert trace.termination == Termination.DIVERGED
     assert trace.rows == []
     assert np.isnan(trace.final_res) and trace.iters == 0 and trace.fevals == 0
+
+
+def _failing_on_call(n_fail, problem):
+    calls = {"n": 0}
+
+    def g(x):
+        calls["n"] += 1
+        if calls["n"] == n_fail:
+            raise RuntimeError("boom")
+        return problem.g(x)
+
+    return FixedPointProblem(n=problem.n, g=g, label="flaky", default_start=problem.default_start)
+
+
+def test_a_raising_map_ends_the_run_as_failed_and_keeps_the_rows():
+    base = affine_problem(seed=14)
+    meter = WindowMeter()
+    trace = run(AA(2), _failing_on_call(3, base), base.default_start, meter=meter)
+    assert trace.termination == Termination.FAILED
+    assert trace.error == "RuntimeError: boom"
+    assert [row.k for row in trace.rows] == [0, 1]
+    assert trace.fevals == 2
+    assert meter.current == 0
+    # raising at the seed leaves no row, as a non-finite seed does
+    seed = run(AA(2), _failing_on_call(1, base), base.default_start)
+    assert seed.termination == Termination.FAILED and seed.rows == []
+    # a run that ends any other way carries no error
+    assert run(AA(2), base, base.default_start).error is None
+
+
+def test_a_kernel_error_ends_the_run_as_failed(monkeypatch):
+    def singular(matrix, rhs):
+        raise np.linalg.LinAlgError("singular")
+
+    # solve_mixing_coefficients looks least_squares up in its own module.
+    monkeypatch.setattr(accelerator, "least_squares", singular)
+    p = affine_problem(seed=15)
+    trace = run(AA(2), p, p.default_start)
+    # the first step mixes a one-entry window, which needs no solve
+    assert trace.termination == Termination.FAILED
+    assert trace.error == "LinAlgError: singular"
+    assert [row.k for row in trace.rows] == [0, 1]
 
 
 def test_run_validates_start_vector():

@@ -32,6 +32,7 @@ def test_termination_values_are_strings():
     assert Termination.MAX_ITERS.value == "max_iters"
     assert Termination.MAX_FEVALS.value == "max_fevals"
     assert Termination.DIVERGED.value == "diverged"
+    assert Termination.FAILED.value == "failed"
 
 
 def test_memory_footprint_formulas():

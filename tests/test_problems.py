@@ -1,5 +1,7 @@
 """Benchmark problems: grids, stencils, preconditioned maps, gmres oracle."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -265,7 +267,12 @@ def test_tridiag_apply_matches_dense():
 
 
 def _padded_g(problem):
-    """The problem's g with its stencil border made by np.pad."""
+    """The problem's g with its stencil border made by np.pad.
+
+    The grid maps take each neighbour as a 2-D view of the padded grid and
+    suppress overflow only where the library does: in exp and in the
+    convdiff residual.
+    """
     prm = problem.params
     if problem.label == "tridiag":
 
@@ -283,13 +290,16 @@ def _padded_g(problem):
         east, west, north, south = p[1:-1, 2:], p[1:-1, :-2], p[2:, 1:-1], p[:-2, 1:-1]
         lap = 4.0 * u2d - east - west - north - south
         if problem.label == "bratu":
-            return u + (prm["lam"] * h2 * np.exp(u2d) - lap).ravel() / 4.0
+            with np.errstate(over="ignore", invalid="ignore"):
+                source = prm["lam"] * h2 * np.exp(u2d)
+            return u + (source - lap).ravel() / 4.0
         if prm["scheme"] == "centered":
             conv = 0.5 * h * (east - west + north - south)
         else:
             conv = h * (2.0 * u2d - west - south)
         rhs = prm["rhs"].reshape(n_side, n_side)
-        resid = rhs - (prm["eps"] * lap + conv + prm["react"] * h2 * u2d * u2d)
+        with np.errstate(over="ignore", invalid="ignore"):
+            resid = rhs - (prm["eps"] * lap + conv + prm["react"] * h2 * u2d * u2d)
         return u + resid.ravel() / prm["operator_diag"]
 
     return g
@@ -304,15 +314,35 @@ def _padded_g(problem):
         convdiff_problem(16, eps=1.0, scheme="upwind"),
         tridiag_problem(2),
         tridiag_problem(50),
+        *(
+            factory(n_side)
+            for n_side in (2, 3, 32, 64)
+            for factory in (
+                bratu_problem,
+                lambda n: convdiff_problem(n, eps=0.01, scheme="centered"),
+                lambda n: convdiff_problem(n, scheme="upwind"),
+            )
+        ),
     ],
     ids=lambda prob: f"{prob.label}-{prob.n}",
 )
 def test_stencil_maps_equal_the_np_pad_reference_bit_for_bit(problem):
+    # Signed zeros and overflowing inputs too. Warnings are errors, so an
+    # operation that overflows outside the library's np.errstate fails here.
     reference = _padded_g(problem)
     rng = np.random.default_rng(37)
-    for _ in range(20):
-        u = rng.standard_normal(problem.n) * 10.0 ** rng.integers(-3, 2)
-        assert np.array_equal(problem.g(u), reference(u))
+    inputs = [rng.standard_normal(problem.n) * 10.0 ** rng.integers(-3, 2) for _ in range(20)]
+    spread = rng.standard_normal(problem.n) * 10.0 ** rng.uniform(-3.0, 3.0, problem.n)
+    zeros = spread.copy()
+    zeros[::3] = 0.0
+    zeros[1::3] = -0.0
+    inputs += [spread, zeros, -zeros, np.full(problem.n, 800.0), np.full(problem.n, 1e200)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for u in inputs:
+            got, want = problem.g(u), reference(u)
+            assert np.array_equal(got, want, equal_nan=True)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 # ---- gmres reference ----
