@@ -20,6 +20,18 @@ differences cannot be factored solves on the stacked block instead and
 retries the factor on its next push. A tail of a window is a read-only view
 that slices the same buffers, valid until the window's next push; pushing
 onto it raises.
+
+scipy is loaded only by windows that can need it. A window of capacity 3
+or more imports scipy.linalg when it is built: only such a window
+downdates its factor with qr_delete or hands least_squares a triangle of
+two or more columns, which goes to LAPACK. run() builds its window before
+it starts the clock, so the import is not timed. A window of capacity 1 or
+2 mixes with at most a 1 x 1 triangle, solved in closed form, and never
+downdates, so Picard and depth-1 solves run on numpy alone. Two paths load
+scipy inside a step instead: the stacked fallback of a capacity-2 window
+whose factor was refused (an n x 1 block), and a multiplicative inner
+window of capacity 3 or more under a shared window of capacity 2 or less,
+such as that of AA(1,AA(5)), which each outer step builds afresh.
 """
 
 from __future__ import annotations
@@ -29,7 +41,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from .kernel import RANK_TOL, dot, least_squares, norm2, ordered_sum
 
@@ -88,8 +99,9 @@ def _qr_append(q: np.ndarray, r: np.ndarray, k: int, u: np.ndarray) -> bool:
         # Projecting onto an empty basis subtracts exact zeros: v is u.
         v = u
     rho = np.sqrt(v @ v)
-    # Written so that a NaN (from a non-finite u) also refuses the column.
-    if not rho > RANK_TOL * np.sqrt(u @ u):
+    # With k = 0, v is u, so ||u|| is rho itself. Written so that a NaN
+    # (from a non-finite u) also refuses the column.
+    if not rho > RANK_TOL * (np.sqrt(u @ u) if k else rho):
         return False
     np.divide(v, rho, out=q[:, k])
     if k:
@@ -128,6 +140,9 @@ class HistoryWindow:
     def __init__(self, capacity: int, meter: WindowMeter | None = None):
         if capacity < 1:
             raise ValueError(f"window capacity must be >= 1, got {capacity}")
+        if capacity > 2:
+            # Loaded here, outside any timed step; see the module docstring.
+            import scipy.linalg  # noqa: F401
         self.capacity = capacity
         self.meter = meter
         self._newest: WindowEntry | None = None
@@ -192,6 +207,8 @@ class HistoryWindow:
             return
         # A one-column factor is not downdated: the append overwrites it.
         if evict and p > 1:
+            import scipy.linalg
+
             # Rotates the F-contiguous Q view and the R view in place.
             try:
                 scipy.linalg.qr_delete(

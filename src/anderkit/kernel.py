@@ -25,6 +25,11 @@ that starts from +0.0, so it is 0.0 + b, not b: the two differ only for
 b = -0.0, which 0.0 + b turns into +0.0, and the quotient's sign of zero
 follows (b = -0.0, a = -2 gives -0.0, not +0.0). dtrtrs then divides, so
 w = (0.0 + b) / a, which overflows to inf as dtrtrs does.
+
+scipy is imported by the functions that call LAPACK, on their first call,
+not when this module is imported: a process whose systems are all 1 x 1
+never loads it. Once loaded, the function-local import is a dictionary
+lookup of well under a microsecond.
 """
 
 from __future__ import annotations
@@ -33,7 +38,6 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import lapack
 
 # Columns whose pivot magnitude falls below this fraction of the largest
 # pivot are treated as rank-deficient and receive zero coefficients.
@@ -75,6 +79,8 @@ def norm2(v) -> float:
 @lru_cache(maxsize=128)
 def _lwork(n: int, p: int) -> tuple[int, int]:
     """Optimal workspace sizes of dgeqp3 and dorgqr for an n x p block."""
+    from scipy.linalg import lapack
+
     probe = np.zeros((n, p), order="F")
     geqp3 = lapack.dgeqp3(probe, lwork=-1)[-2]
     orgqr = lapack.dorgqr(probe, np.zeros(p), lwork=-1)[-2]
@@ -116,6 +122,8 @@ def least_squares(matrix, rhs) -> np.ndarray:
         if not math.isfinite(qtb):
             raise ValueError("rhs must not contain infs or NaNs")
         return np.array([qtb / pivot])
+
+    from scipy.linalg import lapack
 
     geqp3_lwork, orgqr_lwork = _lwork(n, p)
     qr, piv, tau, _, info = lapack.dgeqp3(a, lwork=geqp3_lwork, overwrite_a=1)
