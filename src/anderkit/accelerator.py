@@ -12,26 +12,30 @@ A window therefore holds only its newest (x_k, g(x_k), f_k) and the
 difference blocks dX and dF. Because each push only appends one difference
 column and, once the window is full, drops the oldest, the window keeps a
 thin QR factor of dF up to date by column updates instead of refactoring
-the whole block every step. The difference columns live in mirrored ring
-buffers: each is written at its ring row and again one ring length further
-down, so the live block, oldest first, is always one contiguous slice. The
-pivoted solve on the small triangle still decides the rank; a window whose
-differences cannot be factored solves on the stacked block instead and
-retries the factor on its next push. A tail of a window is a read-only view
-that slices the same buffers, valid until the window's next push; pushing
-onto it raises.
+the whole block every step (Daniel, Gragg, Kaufman & Stewart, 1976). The
+difference columns live in mirrored ring buffers: each is written at its
+ring row and again one ring length further down, so the live block, oldest
+first, is always one contiguous slice.
+
+The factor is valid as soon as the window holds one difference. A column
+within RANK_TOL of the span of the older ones (a repeated iterate, an
+exact dependency, any column past the n-th) is an exact zero column of Q
+with a zero row in R; qr_delete's Givens rotations pass such a column by
+an identity or a swap, so QR = dF holds through every eviction. Every mix,
+full window or tail, is one pivoted solve on R's columns and Q^T f_k, which
+is computed once per push and shared with the tails. A tail is a read-only
+view of the same buffers, valid until the window's next push.
 
 scipy is loaded only by windows that can need it. A window of capacity 3
 or more imports scipy.linalg when it is built: only such a window
-downdates its factor with qr_delete or hands least_squares a triangle of
-two or more columns, which goes to LAPACK. run() builds its window before
+downdates its factor with qr_delete or hands least_squares a block of
+two or more rows, which goes to LAPACK. run() builds its window before
 it starts the clock, so the import is not timed. A window of capacity 1 or
 2 mixes with at most a 1 x 1 triangle, solved in closed form, and never
-downdates, so Picard and depth-1 solves run on numpy alone. Two paths load
-scipy inside a step instead: the stacked fallback of a capacity-2 window
-whose factor was refused (an n x 1 block), and a multiplicative inner
-window of capacity 3 or more under a shared window of capacity 2 or less,
-such as that of AA(1,AA(5)), which each outer step builds afresh.
+downdates, so Picard and depth-1 solves run on numpy alone. One path loads
+scipy inside a step instead: a multiplicative inner window of capacity 3 or
+more under a shared window of capacity 2 or less, such as that of
+AA(1,AA(5)), which each outer step builds afresh.
 """
 
 from __future__ import annotations
@@ -77,38 +81,43 @@ class WindowMeter:
         self.current -= k
 
 
-def _qr_append(q: np.ndarray, r: np.ndarray, k: int, u: np.ndarray) -> bool:
+def _norm(v: np.ndarray) -> float:
+    """sqrt(v @ v), rescaled by v's largest entry where v @ v overflows."""
+    norm = np.sqrt(v @ v)
+    if norm == math.inf:
+        top = np.abs(v).max()
+        norm = top * np.sqrt((v / top) @ (v / top))
+    return norm
+
+
+def _qr_append(q: np.ndarray, r: np.ndarray, k: int, u: np.ndarray) -> None:
     """Extend the thin QR in q[:, :k], r[:k, :k] by the column u, in place.
 
     Classical Gram-Schmidt with one reorthogonalization pass; the new
-    column goes to q[:, k] and r[:k + 1, k]. Returns False, leaving the
-    first k columns as they were, when the factor cannot take u: u is
-    zero, non-finite or within RANK_TOL of the span of the k columns, or
-    the result would have no fewer columns than q has rows.
+    column goes to q[:, k] and r[:k + 1, k]. A column within RANK_TOL of
+    the span of the first k (zero, dependent, or past the n-th) gets an
+    exact zero q[:, k] and r[k, k] = 0. A column with NaN or inf entries is
+    stored as it is, so the next solve on r raises.
     """
-    n = q.shape[0]
-    if k + 1 >= n:
-        return False
     if k:
         qk = q[:, :k]
         c = qk.T @ u
         v = u - qk @ c
         c2 = qk.T @ v
         v -= qk @ c2
+        r[:k, k] = c + c2
+        r[k, :k] = 0.0
     else:
         # Projecting onto an empty basis subtracts exact zeros: v is u.
         v = u
-    rho = np.sqrt(v @ v)
-    # With k = 0, v is u, so ||u|| is rho itself. Written so that a NaN
-    # (from a non-finite u) also refuses the column.
-    if not rho > RANK_TOL * (np.sqrt(u @ u) if k else rho):
-        return False
-    np.divide(v, rho, out=q[:, k])
-    if k:
-        r[:k, k] = c + c2
-        r[k, :k] = 0.0
-    r[k, k] = rho
-    return True
+    rho = _norm(v)
+    # With k = 0, v is u, so ||u|| is rho itself. A NaN fails the test.
+    if rho <= RANK_TOL * (_norm(u) if k else rho):
+        q[:, k] = 0.0
+        r[k, k] = 0.0
+    else:
+        np.divide(v, rho, out=q[:, k])
+        r[k, k] = rho
 
 
 class HistoryWindow:
@@ -124,14 +133,15 @@ class HistoryWindow:
     buffers of capacity - 1 slots. Each column is written twice, at ring
     row r and at r + capacity - 1, so the live columns, oldest first, are
     always the contiguous rows [_head, _head + p) and every reader takes a
-    slice. The window also keeps a thin QR factor of the df block. factor
-    is None when the block cannot be factored now (a dependent column, or
-    more columns than unknowns); it is retried on every push.
+    slice. The window also keeps a thin QR factor of the df block, set
+    whenever p >= 1: Q's columns are orthonormal or exactly zero, and a
+    zero column has a zero row in R.
 
-    The factor lives in storage allocated with the ring buffers: _q, an
-    n x (capacity - 1) Fortran-ordered array, and _r, its square triangle.
-    Each push downdates and extends them in place, so factor is a pair of
-    views of their leading p columns, valid until the window's next push.
+    The factor lives in storage allocated with the ring buffers: _q, a
+    max(n, capacity - 1) x (capacity - 1) Fortran-ordered array whose rows
+    past n stay zero, and _r, its square triangle. Each push downdates and
+    extends them in place, so factor is a pair of views of their leading p
+    columns (and n rows), valid until the window's next push.
     A one-column factor is replaced, not downdated: deleting its only
     column would leave nothing, so an evicting push onto a full
     capacity-2 window writes the new column over q[:, 0] and r[0, 0].
@@ -148,8 +158,8 @@ class HistoryWindow:
         self._newest: WindowEntry | None = None
         self._len = 0
         self._closed = False
-        # Set on the views tail() returns, which must not be pushed onto.
-        self._view = False
+        # The window a tail() view reads; views must not be pushed onto.
+        self._root: HistoryWindow | None = None
         # Difference column i sits in rows _head + i of _dx and _df.
         self._dx: np.ndarray | None = None
         self._df: np.ndarray | None = None
@@ -158,12 +168,14 @@ class HistoryWindow:
         self._q: np.ndarray | None = None
         self._r: np.ndarray | None = None
         self.factor: tuple[np.ndarray, np.ndarray] | None = None
+        # Q^T f_k of the newest entry, cleared by push.
+        self._qtf: np.ndarray | None = None
 
     def __len__(self) -> int:
         return self._len
 
     def push(self, x, gx) -> "HistoryWindow":
-        if self._view:
+        if self._root is not None:
             raise ValueError("cannot push onto a tail view; push onto its window")
         x = np.asarray(x, dtype=float)
         gx = np.asarray(gx, dtype=float)
@@ -178,6 +190,7 @@ class HistoryWindow:
             )
         f = gx - x
         self._newest = entry = WindowEntry(x, gx, f, norm2(f))
+        self._qtf = None
         full = self._len == self.capacity
         if not full:
             self._len += 1
@@ -193,7 +206,9 @@ class HistoryWindow:
             n = entry.x.shape[0]
             self._dx = np.empty((2 * slots, n))
             self._df = np.empty_like(self._dx)
-            self._q = np.empty((n, slots), order="F")
+            # Rows past n stay zero: qr_delete rotates a Q with more columns
+            # than rows wrongly, and a window deeper than n would give one.
+            self._q = np.zeros((max(n, slots), slots), order="F")
             self._r = np.zeros((slots, slots))
         p = self._len - 1
         if evict:
@@ -202,36 +217,18 @@ class HistoryWindow:
         for buf, new, old in ((self._dx, entry.x, prev.x), (self._df, entry.f, prev.f)):
             np.subtract(new, old, out=buf[row])
             buf[row + slots] = buf[row]
-        if self.factor is None:
-            self._refactor()
-            return
         # A one-column factor is not downdated: the append overwrites it.
         if evict and p > 1:
             import scipy.linalg
 
             # Rotates the F-contiguous Q view and the R view in place.
-            try:
-                scipy.linalg.qr_delete(
-                    *self.factor, 0, which="col", overwrite_qr=True, check_finite=False
-                )
-            except scipy.linalg.LinAlgError:
-                self._refactor()
-                return
-        grown = _qr_append(self._q, self._r, p - 1, self._df[row])
-        self._set_factor(p if grown else None)
-
-    def _refactor(self) -> None:
-        """Factor the df block from scratch, one column at a time."""
-        block = self.differences()[1]
-        for k, col in enumerate(block):
-            if not _qr_append(self._q, self._r, k, col):
-                self._set_factor(None)
-                return
-        self._set_factor(len(block))
-
-    def _set_factor(self, p: int | None) -> None:
-        """Point factor at the leading p columns of the storage, or None."""
-        self.factor = None if p is None else (self._q[:, :p], self._r[:p, :p])
+            scipy.linalg.qr_delete(
+                self._q[:, :p], self._r[:p, :p], 0, which="col", overwrite_qr=True,
+                check_finite=False,
+            )
+        q = self._q[: entry.x.shape[0]]
+        _qr_append(q, self._r, p - 1, self._df[row])
+        self.factor = (q[:, :p], self._r[:p, :p])
 
     def differences(self) -> tuple[np.ndarray, np.ndarray]:
         """The (dx, df) blocks as p x n views, oldest column first."""
@@ -244,21 +241,30 @@ class HistoryWindow:
     def tail(self, k: int) -> "HistoryWindow":
         """Read-only view of the newest min(k, len) iterates, unmetered.
 
-        With k >= len the view is the window itself, factor included. A
-        smaller view has no factor, shares the window's newest entry and
-        difference rows, so it is valid only until the window's next push,
-        and refuses push itself.
+        With k >= len the view is the window itself. A smaller view shares
+        the window's newest entry, difference rows, Q and Q^T f_k, and
+        carries R's newest k - 1 columns, so Q times them is its df block.
+        It is valid only until the window's next push, and refuses push.
         """
         if k < 1:
             raise ValueError(f"tail size must be >= 1, got {k}")
         if k >= self._len:
             return self
         view = HistoryWindow(k)
-        view._newest, view._len, view._view = self._newest, k, True
+        view._newest, view._len, view._root = self._newest, k, self
         if k > 1:
             dx, df = self.differences()
             view._dx, view._df = dx[1 - k:], df[1 - k:]
+            q, r = self.factor
+            view.factor = (q, r[:, 1 - k:])
         return view
+
+    def qtf(self) -> np.ndarray:
+        """Q^T f_k, computed at the first call after a push and shared with tails."""
+        owner = self if self._root is None else self._root
+        if owner._qtf is None:
+            owner._qtf = self.factor[0].T @ self._newest.f
+        return owner._qtf
 
     def newest(self) -> WindowEntry | None:
         return self._newest
@@ -350,34 +356,21 @@ class StepOutcome:
 def solve_mixing_coefficients(window: HistoryWindow) -> MixingResult:
     """Solve the constrained mixing problem over the window's residuals.
 
-    gamma minimizes ||f_k - dF gamma||_2 through least_squares on the
-    window's triangular factor (R, Q^T f_k), or on the stacked dF block
-    when the factor is unavailable. Either way the pivoted solve gives
-    columns below RANK_TOL zero weight, so a degenerate window prefers the
-    newest iterate. alpha = diff([0, gamma, 1]) sums to one by construction.
+    With dF = QR, ||f_k - dF gamma||_2 and ||Q^T f_k - R gamma||_2 differ
+    only by the part of f_k outside Q's range, so gamma is least_squares
+    on the window's R columns and Q^T f_k. The pivoted solve gives columns
+    below RANK_TOL zero weight, so a degenerate window prefers the newest
+    iterate. alpha = diff([0, gamma, 1]) sums to one by construction.
     """
     if not len(window):
         raise ValueError("cannot mix an empty window")
     newest = window.newest()
-    p = len(window) - 1
-    if p == 0:
+    if len(window) == 1:
         return MixingResult(
             alpha=np.array([1.0]), x_avg=newest.x, gx_avg=newest.gx, mixed_norm=newest.f_norm
         )
     dx, df = window.differences()
-    if window.factor is not None:
-        q, r = window.factor
-        gamma = least_squares(r, q.T @ newest.f)
-    else:
-        block = df.T
-        rhs = newest.f
-        n = rhs.shape[0]
-        if p > n:
-            # Zero rows leave the minimization unchanged and let the
-            # pivoted solve pick at most n columns.
-            block = np.vstack((block, np.zeros((p - n, p))))
-            rhs = np.concatenate((rhs, np.zeros(p - n)))
-        gamma = least_squares(block, rhs)
+    gamma = least_squares(window.factor[1], window.qtf())
     x_avg = newest.x - gamma @ dx
     mixed = newest.f - gamma @ df
     # alpha = diff([0, gamma, 1])

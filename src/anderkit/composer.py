@@ -379,7 +379,7 @@ def run(
             termination = Termination.DIVERGED
 
     window.close()
-    return ConvergenceTrace(rows=rows, termination=termination, error=error)
+    return ConvergenceTrace(rows=rows, termination=termination, error=error, fevals=g.calls)
 
 
 def _describe(exc: Exception) -> str:

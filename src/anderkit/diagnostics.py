@@ -45,11 +45,14 @@ class ConvergenceTrace:
     """The rows of a run and why it ended.
 
     error is "ExceptionType: message" when the run ended as FAILED, else None.
+    fevals counts every evaluation of g the run made, those of a final step
+    that ended the run without a row included; each row keeps its own count.
     """
 
     rows: list[TraceRow]
     termination: Termination
     error: str | None = None
+    fevals: int = 0
 
     @property
     def final_res(self) -> float:
@@ -58,10 +61,6 @@ class ConvergenceTrace:
     @property
     def iters(self) -> int:
         return self.rows[-1].k if self.rows else 0
-
-    @property
-    def fevals(self) -> int:
-        return self.rows[-1].fevals if self.rows else 0
 
 
 @dataclass

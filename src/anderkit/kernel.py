@@ -4,8 +4,10 @@ Scalar reductions (dot, norm2, ordered_sum) accumulate strictly left to
 right, through numpy's add.accumulate, so that recorded residual norms are
 reproducible across BLAS builds. least_squares is the pivoted-QR solve
 that decides the numerical rank of every mixing problem; the mixing solve
-hands it either the small triangular factor kept by the history window or,
-when that factor is unavailable, the stacked residual differences.
+hands it the columns of the triangular factor kept by the history window
+(all of them, or a tail's newest ones) and Q^T f_k. A difference column
+that the factor found dependent is an exact zero column of Q with a zero
+row of R, so rank deficiency reaches least_squares as zero rows.
 
 least_squares calls LAPACK directly: dgeqp3 for the pivoted QR, dorgqr
 for Q and dtrtrs for the triangle, the same routines scipy.linalg.qr and

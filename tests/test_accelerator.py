@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anderkit.accelerator import (
     DampingPolicy,
@@ -80,6 +82,8 @@ def test_window_tail_reuses_itself_and_copies_newest_differences():
     assert w.tail(4) is w and w.tail(99) is w
     t = w.tail(2)
     assert t is not w and t.newest() is w.newest()
+    # Q^T f_k is computed once per push and shared with the tails
+    assert t.qtf() is w.qtf() and np.array_equal(w.qtf(), w.factor[0].T @ w.newest().f)
     assert np.array_equal(t.differences()[0], w.differences()[0][-1:])
     assert np.array_equal(t.differences()[1], w.differences()[1][-1:])
     fresh = HistoryWindow(2)
@@ -240,7 +244,7 @@ def test_mixing_norm_never_exceeds_newest_residual():
         assert mix.mixed_norm <= newest * (1.0 + 1e-12) + 1e-15
 
 
-# ---- the updated factor and its stacked fallback ----
+# ---- the updated factor against the stacked reference ----
 
 
 def _padded_least_squares(matrix, rhs):
@@ -268,11 +272,27 @@ def _blend(alpha, vectors):
     return sum(a * v for a, v in zip(alpha, vectors))
 
 
+def _zero_columns(window):
+    """Check the factor invariant and return the indices of Q's zero columns.
+
+    Every column of Q is orthonormal within 1e-12 or exactly zero, a zero
+    column has an exactly zero row in R, and QR equals the live df block.
+    """
+    q, r = window.factor
+    block = window.differences()[1].T
+    zero = ~q.any(axis=0)
+    live = q[:, ~zero]
+    assert np.abs(live.T @ live - np.eye(live.shape[1])).max(initial=0.0) <= 1e-12
+    assert not r[zero].any()
+    assert np.linalg.norm(q @ r - block) <= 1e-12 * max(np.linalg.norm(block), 1.0)
+    return np.flatnonzero(zero)
+
+
 def _check_fallback(window, pushed, same_averages):
     # alpha of a rank-deficient window is not unique: the window's alpha is
-    # the stacked-difference solve, and its mixed residual (and, when whole
-    # iterates repeat, its averages) match the f_i - f_k formulation.
-    assert window.factor is None
+    # the stacked-difference solve's, and its mixed residual (and, when
+    # whole iterates repeat, its averages) match the f_i - f_k formulation.
+    _zero_columns(window)
     mix = solve_mixing_coefficients(window)
     assert np.allclose(mix.alpha, _fallback_alpha(window), rtol=0.0, atol=1e-10)
     xs, gxs, fs = _live(pushed, window)
@@ -287,28 +307,33 @@ def _check_fallback(window, pushed, same_averages):
 
 
 def test_repeated_iterate_takes_stacked_fallback_until_evicted():
+    # The repeat makes dx = df = 0: the factor stores it as a zero column
+    # and mixes as the stacked reference does until the column is gone.
     rng = np.random.default_rng(21)
     g = lambda x: np.cos(x) + 0.5
     w = HistoryWindow(4)
     pushed = []
     x0, x1 = rng.standard_normal(6), rng.standard_normal(6)
-    for x in (x0, x1, x1):  # the repeat makes dx = df = 0
+    for x in (x0, x1, x1):
         pushed.append((x, g(x)))
         w.push(*pushed[-1])
+    assert list(_zero_columns(w)) == [1]
     _check_fallback(w, pushed, same_averages=True)
     x = rng.standard_normal(6)
     pushed.append((x, g(x)))
     w.push(*pushed[-1])
     _check_fallback(w, pushed, same_averages=True)
-    # the zero column leaves with the second eviction; the factor returns
+    # once the zero difference is evicted, every column is orthonormal
     for _ in range(2):
         x = rng.standard_normal(6)
-        w.push(x, g(x))
-    assert w.factor is not None
+        pushed.append((x, g(x)))
+        w.push(*pushed[-1])
+        _check_fallback(w, pushed, same_averages=True)
+    assert not _zero_columns(w).size
 
 
-def test_dependent_differences_take_stacked_fallback():
-    # integer data keeps df_2 = 2 df_0 exact in floating point
+def _dependent_window():
+    """A depth-4 window on integer data with df_2 = 2 df_0, exact in floating point."""
     rng = np.random.default_rng(34)
     d = rng.integers(-5, 6, 5).astype(float)
     e = rng.integers(-5, 6, 5).astype(float)
@@ -320,32 +345,32 @@ def test_dependent_differences_take_stacked_fallback():
         x = rng.integers(-9, 10, 5).astype(float)
         pushed.append((x, x + f))
         w.push(*pushed[-1])
+    return rng, f, w, pushed
+
+
+def test_dependent_differences_take_stacked_fallback():
+    _, _, w, pushed = _dependent_window()
+    assert list(_zero_columns(w)) == [2]
     _check_fallback(w, pushed, same_averages=False)
 
 
 def test_dependent_differences_regain_the_factor_once_the_block_factors():
-    # the setup above: df_2 = 2 df_0 leaves the window without a factor
-    rng = np.random.default_rng(34)
-    d = rng.integers(-5, 6, 5).astype(float)
-    e = rng.integers(-5, 6, 5).astype(float)
-    f = rng.integers(-5, 6, 5).astype(float)
-    w = HistoryWindow(4)
-    for step in (np.zeros(5), d, e, 2.0 * d):
-        f = f + step
-        x = rng.integers(-9, 10, 5).astype(float)
-        w.push(x, x + f)
-    assert w.factor is None
-    # the next push evicts df_0; [df_1, df_2, df_3] factors again at once
+    rng, f, w, _ = _dependent_window()
+    q, r = w.factor
+    assert not q[:, 2].any() and r[2, 2] == 0.0
+    # the next push evicts df_0; [df_1, df_2, df_3] is independent, and
+    # the zero row has left the triangle
     x = rng.standard_normal(5)
     w.push(x, x + f + rng.standard_normal(5))
-    assert w.factor is not None
     q, r = w.factor
     block = w.differences()[1].T
     assert q.shape == (5, 3) and np.allclose(q @ r, block, rtol=0.0, atol=1e-12)
+    assert not _zero_columns(w).size and np.abs(np.diag(r)).min() > 1e-8
 
 
 def test_scalar_window_deeper_than_its_dimension_takes_stacked_fallback():
-    # n = 1 with depth 3: two difference columns in a one-row problem
+    # n = 1 with depth 3: the second difference column in a one-row
+    # problem is past the n-th, so it is stored as a zero column
     g = lambda x: np.cos(x)
     w = HistoryWindow(3)
     pushed = []
@@ -353,7 +378,54 @@ def test_scalar_window_deeper_than_its_dimension_takes_stacked_fallback():
         pushed.append((np.array([x]), g(np.array([x]))))
         w.push(*pushed[-1])
         if len(w) > 1:
+            assert list(_zero_columns(w)) == list(range(1, len(w) - 1))
             _check_fallback(w, pushed, same_averages=False)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_factor_invariant_holds_through_repeats_dependencies_and_evictions(data):
+    # Integer data keeps repeats and dependencies exact in floating point.
+    n = data.draw(st.integers(1, 6), label="n")
+    capacity = data.draw(st.integers(2, 6), label="capacity")
+    moves = st.sampled_from(["fresh", "repeat", "dependent"])
+    # a zero column that stays in the window while older columns are evicted
+    script = (
+        data.draw(st.lists(moves, max_size=8), label="before")
+        + ["repeat"]
+        + data.draw(st.lists(moves, min_size=capacity, max_size=capacity + 6), label="after")
+    )
+
+    def ints(lo, hi, size=n):
+        drawn = data.draw(st.lists(st.integers(lo, hi), min_size=size, max_size=size))
+        return np.array(drawn, float)
+
+    x = ints(-9, 9)
+    pushed = [(x, x + ints(-5, 5))]
+    w = HistoryWindow(capacity)
+    w.push(*pushed[0])
+    for move in script:
+        x, gx = pushed[-1]
+        df = w.differences()[1]
+        if move == "dependent" and len(df):
+            # f moves by an integer combination of the live df columns
+            f = gx - x + ints(-2, 2, len(df)) @ df
+            x = ints(-9, 9)
+            gx = x + f
+        elif move != "repeat":
+            x = ints(-9, 9)
+            gx = x + ints(-5, 5)
+        pushed.append((x, gx))
+        w.push(x, gx)
+        _zero_columns(w)
+        for view in [w.tail(k) for k in range(2, len(w))] + [w]:
+            fs = _live(pushed, view)[2]
+            stacked = np.column_stack([f - fs[-1] for f in fs[:-1]])
+            want = fs[-1] + stacked @ np.linalg.lstsq(stacked, -fs[-1], rcond=None)[0]
+            mix = solve_mixing_coefficients(view)
+            scale = max(norm2(fs[-1]), 1.0)
+            assert norm2(_blend(mix.alpha, fs) - want) <= 1e-10 * scale
+            assert abs(mix.mixed_norm - norm2(want)) <= 1e-10 * scale
 
 
 def test_updated_factor_stays_orthogonal_over_a_long_run():
@@ -437,13 +509,14 @@ def test_capacity_two_window_replaces_its_one_column_factor(monkeypatch):
         if i == 0:
             assert w.factor is None
             continue
+        q, r = w.factor
+        assert q.shape == (n, 1) and r.shape == (1, 1)
         if i == 120:
-            assert w.factor is None
+            assert not q[:, 0].any() and np.array_equal(r, [[0.0]])
+            assert np.array_equal(solve_mixing_coefficients(w).alpha, [0.0, 1.0])
             continue
         u = w.differences()[1][0]
         rho = np.sqrt(u @ u)
-        q, r = w.factor
-        assert q.shape == (n, 1) and r.shape == (1, 1)
         assert np.array_equal(q[:, 0], u / rho), i
         assert np.array_equal(r, [[rho]]), i
 
@@ -469,7 +542,7 @@ def test_qr_append_onto_an_empty_basis_equals_the_projection_formula():
         u[-1] = 1.5
         q = np.empty((n, 3), order="F")
         r = np.zeros((3, 3))
-        assert _qr_append(q, r, 0, u)
+        _qr_append(q, r, 0, u)
         # classical Gram-Schmidt with reorthogonalization, k = 0
         qk = np.empty((n, 0))
         c = qk.T @ u
@@ -484,18 +557,52 @@ def test_qr_append_onto_an_empty_basis_equals_the_projection_formula():
 
 
 def test_qr_append_onto_an_empty_basis_refuses_what_it_cannot_factor():
+    # It refuses nothing now: a zero column becomes an exact zero, and a
+    # non-finite one is stored as it is, so the next solve raises.
     n = 6
-    bad_columns = [np.zeros(n), np.full(n, -0.0), np.ones(n), np.ones(n)]
-    bad_columns[2][3] = np.nan
-    bad_columns[3][1] = np.inf
-    for u in bad_columns:
+    for u in (np.zeros(n), np.full(n, -0.0)):
+        q = np.ones((n, 2), order="F")
+        r = np.ones((2, 2))
+        _qr_append(q, r, 0, u)
+        assert not q[:, 0].any() and not np.signbit(q[:, 0]).any()
+        assert r[0, 0] == 0.0 and np.array_equal(q[:, 1], np.ones(n))
+    for bad in (np.nan, np.inf):
+        u = np.ones(n)
+        u[3] = bad
         q = np.zeros((n, 2), order="F")
         r = np.zeros((2, 2))
-        assert not _qr_append(q, r, 0, u)
-        assert not r.any()
-    # one row has room for no column at all
-    for u in (np.array([2.0]), np.array([-0.0])):
-        assert not _qr_append(np.zeros((1, 1), order="F"), np.zeros((1, 1)), 0, u)
+        with np.errstate(invalid="ignore"):  # inf / inf
+            _qr_append(q, r, 0, u)
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            least_squares(r[:1, :1], q[:, :1].T @ np.ones(n))
+        for capacity in (2, 4):
+            w = HistoryWindow(capacity)
+            w.push(np.zeros(n), np.ones(n))
+            with np.errstate(invalid="ignore"):
+                w.push(np.zeros(n), u)
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                solve_mixing_coefficients(w)
+    # one row takes one column
+    for u, want_q, want_r in ((np.array([2.0]), 1.0, 2.0), (np.array([-0.0]), 0.0, 0.0)):
+        q = np.zeros((1, 1), order="F")
+        r = np.zeros((1, 1))
+        _qr_append(q, r, 0, u)
+        assert q[0, 0] == want_q and r[0, 0] == want_r
+
+
+def test_differences_whose_norm_overflows_mix_as_the_stacked_reference():
+    # ||df|| near 1e154 overflows v @ v; the column is scaled, not zeroed
+    rng = np.random.default_rng(3)
+    w = HistoryWindow(3)
+    with np.errstate(over="ignore"):
+        for _ in range(3):
+            x = rng.standard_normal(4)
+            w.push(x, x + 1e154 * rng.standard_normal(4))
+        mix = solve_mixing_coefficients(w)
+    q, r = w.factor
+    assert np.abs(q.T @ q - np.eye(2)).max() <= 1e-12
+    assert np.allclose(q @ (r / 1e154), w.differences()[1].T / 1e154, rtol=0.0, atol=1e-12)
+    assert np.allclose(mix.alpha, _fallback_alpha(w), rtol=0.0, atol=1e-10)
 
 
 # ---- damping ----

@@ -209,11 +209,16 @@ def test_presentation_scale():
 @given(spec=_specs(3))
 def test_cost_per_step_and_memory_hold_on_random_specs(spec):
     problem = tridiag_problem(30)
+    calls = []
+    counted = dataclasses.replace(
+        problem, g=lambda x: calls.append(1) or problem.g(x), known_solution=None
+    )
     meter = WindowMeter()
-    trace = run(spec, problem, problem.default_start, RunConfig(tol=1e-300, max_iters=12),
+    trace = run(spec, counted, problem.default_start, RunConfig(tol=1e-300, max_iters=12),
                 meter=meter)
     fevals = [row.fevals for row in trace.rows]
     assert all(b - a == spec.cost_per_step for a, b in zip(fevals, fevals[1:])), fevals
+    assert trace.fevals == len(calls)
     assert meter.peak <= spec.memory
 
 

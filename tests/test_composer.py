@@ -282,7 +282,8 @@ def test_diverged_at_seed_returns_empty_trace():
     trace = run(Picard(), p, p.default_start)
     assert trace.termination == Termination.DIVERGED
     assert trace.rows == []
-    assert np.isnan(trace.final_res) and trace.iters == 0 and trace.fevals == 0
+    # the seeding evaluation counts though it left no row
+    assert np.isnan(trace.final_res) and trace.iters == 0 and trace.fevals == 1
 
 
 def _failing_on_call(n_fail, problem):
@@ -304,8 +305,13 @@ def test_a_raising_map_ends_the_run_as_failed_and_keeps_the_rows():
     assert trace.termination == Termination.FAILED
     assert trace.error == "RuntimeError: boom"
     assert [row.k for row in trace.rows] == [0, 1]
-    assert trace.fevals == 2
+    # the raising call counts; the rows keep their own counts
+    assert trace.fevals == 3 and trace.rows[-1].fevals == 2
     assert meter.current == 0
+    # a damping probe that raises: seed 1, step 1 spends 3, the probe is call 5
+    damped = run(AA(2, DampingPolicy.optimized()), _failing_on_call(5, base), base.default_start)
+    assert damped.termination == Termination.FAILED and damped.error == "RuntimeError: boom"
+    assert [row.fevals for row in damped.rows] == [1, 4] and damped.fevals == 5
     # raising at the seed leaves no row, as a non-finite seed does
     seed = run(AA(2), _failing_on_call(1, base), base.default_start)
     assert seed.termination == Termination.FAILED and seed.rows == []

@@ -58,9 +58,19 @@ def test_picard_and_shallow_windows_never_load_scipy(tmp_path):
             pass
         after_runs = "scipy" in sys.modules
 
+        # a repeated iterate leaves a zero difference, still a 1 x 1 solve
+        import numpy as np
+        from anderkit.accelerator import HistoryWindow, solve_mixing_coefficients
+        window = HistoryWindow(2)
+        for _ in range(2):
+            window.push(np.ones(3), np.full(3, 2.0))
+        repeat_alpha = solve_mixing_coefficients(window).alpha.tolist()
+        after_repeat = "scipy" in sys.modules
+
         problem = tridiag_problem(30)
         run(parse_spec("AA(2)"), problem, problem.default_start, RunConfig(max_iters=20))
         print(json.dumps({"after_import": after_import, "after_runs": after_runs,
+                          "repeat_alpha": repeat_alpha, "after_repeat": after_repeat,
                           "terminations": terminations, "code": code,
                           "after_deep": "scipy.linalg" in sys.modules}))
         """,
@@ -68,6 +78,7 @@ def test_picard_and_shallow_windows_never_load_scipy(tmp_path):
     )
     assert not seen["after_import"]
     assert not seen["after_runs"]
+    assert seen["repeat_alpha"] == [0.0, 1.0] and not seen["after_repeat"]
     assert seen["code"] == 0
     for text, termination, iters in seen["terminations"]:
         assert termination != "failed", text
