@@ -6,16 +6,16 @@ alpha over the window's p + 1 most recent iterates minimize
 
 Following Walker & Ni (2011, section 4), the constraint is eliminated with
 the consecutive differences df_i = f_{i+1} - f_i, which span the same space
-as the f_i - f_k: gamma minimizes ||f_k - dF gamma||_2, the averages are
-x_k - dX gamma and f_k - dF gamma, and alpha follows by differencing gamma.
-A window therefore holds only its newest (x_k, g(x_k), f_k) and the
-difference blocks dX and dF. Because each push only appends one difference
+as the f_i - f_k: gamma minimizes ||f_k - dF gamma||_2, and alpha follows
+by differencing gamma. Because each push only appends one difference
 column and, once the window is full, drops the oldest, the window keeps a
 thin QR factor of dF up to date by column updates instead of refactoring
 the whole block every step (Daniel, Gragg, Kaufman & Stewart, 1976). The
-difference columns live in mirrored ring buffers: each is written at its
-ring row and again one ring length further down, so the live block, oldest
-first, is always one contiguous slice.
+factor is all the window keeps of dF: the averages are x_k - dX gamma and
+f_k - Q (R gamma). A window therefore holds only its newest (x_k, g(x_k),
+f_k), the factor, and the difference block dX in a mirrored ring buffer:
+each column is written at its ring row and again one ring length further
+down, so the live block, oldest first, is always one contiguous slice.
 
 The factor is valid as soon as the window holds one difference. A column
 within RANK_TOL of the span of the older ones (a repeated iterate, an
@@ -129,15 +129,15 @@ class HistoryWindow:
     once so no reader recomputes it) and its length.
 
     The older iterates live on only as the p = len - 1 consecutive
-    differences dx_i = x_{i+1} - x_i and df_i = f_{i+1} - f_i in ring
-    buffers of capacity - 1 slots. Each column is written twice, at ring
-    row r and at r + capacity - 1, so the live columns, oldest first, are
-    always the contiguous rows [_head, _head + p) and every reader takes a
-    slice. The window also keeps a thin QR factor of the df block, set
-    whenever p >= 1: Q's columns are orthonormal or exactly zero, and a
-    zero column has a zero row in R.
+    differences dx_i = x_{i+1} - x_i, in a ring buffer of capacity - 1
+    slots, and df_i = f_{i+1} - f_i, as a thin QR factor of the df block,
+    set whenever p >= 1. Each dx column is written twice, at ring row r and
+    at r + capacity - 1, so the live columns, oldest first, are always the
+    contiguous rows [_head, _head + p) and every reader takes a slice. Q's
+    columns are orthonormal or exactly zero, and a zero column has a zero
+    row in R; QR is the df block, which no array holds.
 
-    The factor lives in storage allocated with the ring buffers: _q, a
+    The factor lives in storage allocated with the ring buffer: _q, a
     max(n, capacity - 1) x (capacity - 1) Fortran-ordered array whose rows
     past n stay zero, and _r, its square triangle. Each push downdates and
     extends them in place, so factor is a pair of views of their leading p
@@ -160,9 +160,8 @@ class HistoryWindow:
         self._closed = False
         # The window a tail() view reads; views must not be pushed onto.
         self._root: HistoryWindow | None = None
-        # Difference column i sits in rows _head + i of _dx and _df.
+        # Difference column i sits in row _head + i of _dx.
         self._dx: np.ndarray | None = None
-        self._df: np.ndarray | None = None
         self._head = 0
         # The factor's storage; factor views its leading p columns.
         self._q: np.ndarray | None = None
@@ -205,7 +204,6 @@ class HistoryWindow:
         if self._dx is None:
             n = entry.x.shape[0]
             self._dx = np.empty((2 * slots, n))
-            self._df = np.empty_like(self._dx)
             # Rows past n stay zero: qr_delete rotates a Q with more columns
             # than rows wrongly, and a window deeper than n would give one.
             self._q = np.zeros((max(n, slots), slots), order="F")
@@ -214,9 +212,8 @@ class HistoryWindow:
         if evict:
             self._head = (self._head + 1) % slots
         row = (self._head + p - 1) % slots
-        for buf, new, old in ((self._dx, entry.x, prev.x), (self._df, entry.f, prev.f)):
-            np.subtract(new, old, out=buf[row])
-            buf[row + slots] = buf[row]
+        np.subtract(entry.x, prev.x, out=self._dx[row])
+        self._dx[row + slots] = self._dx[row]
         # A one-column factor is not downdated: the append overwrites it.
         if evict and p > 1:
             import scipy.linalg
@@ -227,23 +224,21 @@ class HistoryWindow:
                 check_finite=False,
             )
         q = self._q[: entry.x.shape[0]]
-        _qr_append(q, self._r, p - 1, self._df[row])
+        _qr_append(q, self._r, p - 1, entry.f - prev.f)
         self.factor = (q[:, :p], self._r[:p, :p])
 
-    def differences(self) -> tuple[np.ndarray, np.ndarray]:
-        """The (dx, df) blocks as p x n views, oldest column first."""
+    def differences(self) -> np.ndarray:
+        """The dx block as a p x n view, oldest column first."""
         if self._dx is None:
-            empty = np.empty((0, self._newest.x.shape[0] if self._newest is not None else 0))
-            return empty, empty
-        live = slice(self._head, self._head + self._len - 1)
-        return self._dx[live], self._df[live]
+            return np.empty((0, self._newest.x.shape[0] if self._newest is not None else 0))
+        return self._dx[self._head : self._head + self._len - 1]
 
     def tail(self, k: int) -> "HistoryWindow":
         """Read-only view of the newest min(k, len) iterates, unmetered.
 
         With k >= len the view is the window itself. A smaller view shares
-        the window's newest entry, difference rows, Q and Q^T f_k, and
-        carries R's newest k - 1 columns, so Q times them is its df block.
+        the window's newest entry, dx rows, Q and Q^T f_k, and carries R's
+        newest k - 1 columns, so Q times them is its df block.
         It is valid only until the window's next push, and refuses push.
         """
         if k < 1:
@@ -253,8 +248,7 @@ class HistoryWindow:
         view = HistoryWindow(k)
         view._newest, view._len, view._root = self._newest, k, self
         if k > 1:
-            dx, df = self.differences()
-            view._dx, view._df = dx[1 - k:], df[1 - k:]
+            view._dx = self.differences()[1 - k:]
             q, r = self.factor
             view.factor = (q, r[:, 1 - k:])
         return view
@@ -358,7 +352,8 @@ def solve_mixing_coefficients(window: HistoryWindow) -> MixingResult:
 
     With dF = QR, ||f_k - dF gamma||_2 and ||Q^T f_k - R gamma||_2 differ
     only by the part of f_k outside Q's range, so gamma is least_squares
-    on the window's R columns and Q^T f_k. The pivoted solve gives columns
+    on the window's R columns and Q^T f_k, and the mixed residual
+    f_k - dF gamma is f_k - Q (R gamma). The pivoted solve gives columns
     below RANK_TOL zero weight, so a degenerate window prefers the newest
     iterate. alpha = diff([0, gamma, 1]) sums to one by construction.
     """
@@ -369,10 +364,12 @@ def solve_mixing_coefficients(window: HistoryWindow) -> MixingResult:
         return MixingResult(
             alpha=np.array([1.0]), x_avg=newest.x, gx_avg=newest.gx, mixed_norm=newest.f_norm
         )
-    dx, df = window.differences()
-    gamma = least_squares(window.factor[1], window.qtf())
-    x_avg = newest.x - gamma @ dx
-    mixed = newest.f - gamma @ df
+    q, r = window.factor
+    gamma = least_squares(r, window.qtf())
+    x_avg = newest.x - gamma @ window.differences()
+    # np.dot, not @: on a depth-1 window's n x 1 Fortran view of Q, @ costs
+    # about twice as much for the same bits.
+    mixed = newest.f - np.dot(q, np.dot(r, gamma))
     # alpha = diff([0, gamma, 1])
     alpha = np.concatenate((gamma, (1.0,)))
     alpha[1:] -= gamma

@@ -25,7 +25,7 @@ from anderkit.kernel import least_squares, norm2
 
 def _xs(window):
     """The window's iterates, oldest first, rebuilt from its newest x and dx block."""
-    dx = window.differences()[0]
+    dx = window.differences()
     newest = window.newest().x
     return [newest - dx[i:].sum(axis=0) for i in range(len(dx))] + [newest]
 
@@ -34,6 +34,15 @@ def _live(pushed, window):
     """(xs, gxs, fs) of the window's iterates, oldest first, from the pairs pushed onto it."""
     pairs = pushed[-len(window):]
     return [x for x, _ in pairs], [gx for _, gx in pairs], [gx - x for x, gx in pairs]
+
+
+def _df(pushed, window):
+    """The window's p x n df block, rebuilt from the pairs pushed onto it.
+
+    The window keeps no df array, only its factor; checking QR against
+    this block, never against QR itself, is what tests the factor.
+    """
+    return np.diff(_live(pushed, window)[2], axis=0)
 
 
 def test_window_push_stores_triples_and_evicts_oldest():
@@ -84,8 +93,8 @@ def test_window_tail_reuses_itself_and_copies_newest_differences():
     assert t is not w and t.newest() is w.newest()
     # Q^T f_k is computed once per push and shared with the tails
     assert t.qtf() is w.qtf() and np.array_equal(w.qtf(), w.factor[0].T @ w.newest().f)
-    assert np.array_equal(t.differences()[0], w.differences()[0][-1:])
-    assert np.array_equal(t.differences()[1], w.differences()[1][-1:])
+    assert np.array_equal(t.differences(), w.differences()[-1:])
+    assert t.factor[0] is w.factor[0] and np.array_equal(t.factor[1], w.factor[1][:, -1:])
     fresh = HistoryWindow(2)
     for x, gx in pushed[-2:]:
         fresh.push(x, gx)
@@ -98,13 +107,13 @@ def test_tail_view_refuses_push_and_leaves_its_window_unchanged():
     for _ in range(7):
         x = rng.standard_normal(8)
         w.push(x, x + rng.standard_normal(8))
-    dx, df = (block.copy() for block in w.differences())
+    dx = w.differences().copy()
     q, r = (part.copy() for part in w.factor)
     for k in (1, 3):
         with pytest.raises(ValueError):
             w.tail(k).push(np.zeros(8), np.ones(8))
     assert len(w) == 5
-    assert np.array_equal(w.differences()[0], dx) and np.array_equal(w.differences()[1], df)
+    assert np.array_equal(w.differences(), dx)
     assert np.array_equal(w.factor[0], q) and np.array_equal(w.factor[1], r)
 
 
@@ -117,10 +126,10 @@ def test_wrapped_window_and_its_tails_hold_the_differences_of_their_entries():
         pushed.append((x, x + rng.standard_normal(7)))
         w.push(*pushed[-1])
         for view in [w] + [w.tail(k) for k in range(1, len(w))]:
-            xs, _, fs = _live(pushed, view)
-            dx, df = view.differences()
-            assert np.array_equal(dx, np.diff(xs, axis=0).reshape(-1, 7))
-            assert np.array_equal(df, np.diff(fs, axis=0).reshape(-1, 7))
+            xs = _live(pushed, view)[0]
+            assert np.array_equal(view.differences(), np.diff(xs, axis=0))
+            if len(view) > 1:
+                _zero_columns(view, pushed)
 
 
 def test_meter_tracks_fill_and_peak():
@@ -256,9 +265,9 @@ def _padded_least_squares(matrix, rhs):
     return least_squares(matrix, rhs)
 
 
-def _fallback_alpha(window):
+def _fallback_alpha(window, pushed):
     """alpha from least_squares on the stacked consecutive differences."""
-    gamma = _padded_least_squares(window.differences()[1].T, window.newest().f)
+    gamma = _padded_least_squares(_df(pushed, window).T, window.newest().f)
     return np.diff(gamma, prepend=0.0, append=1.0)
 
 
@@ -272,14 +281,14 @@ def _blend(alpha, vectors):
     return sum(a * v for a, v in zip(alpha, vectors))
 
 
-def _zero_columns(window):
+def _zero_columns(window, pushed):
     """Check the factor invariant and return the indices of Q's zero columns.
 
     Every column of Q is orthonormal within 1e-12 or exactly zero, a zero
     column has an exactly zero row in R, and QR equals the live df block.
     """
     q, r = window.factor
-    block = window.differences()[1].T
+    block = _df(pushed, window).T
     zero = ~q.any(axis=0)
     live = q[:, ~zero]
     assert np.abs(live.T @ live - np.eye(live.shape[1])).max(initial=0.0) <= 1e-12
@@ -292,9 +301,9 @@ def _check_fallback(window, pushed, same_averages):
     # alpha of a rank-deficient window is not unique: the window's alpha is
     # the stacked-difference solve's, and its mixed residual (and, when
     # whole iterates repeat, its averages) match the f_i - f_k formulation.
-    _zero_columns(window)
+    _zero_columns(window, pushed)
     mix = solve_mixing_coefficients(window)
-    assert np.allclose(mix.alpha, _fallback_alpha(window), rtol=0.0, atol=1e-10)
+    assert np.allclose(mix.alpha, _fallback_alpha(window, pushed), rtol=0.0, atol=1e-10)
     xs, gxs, fs = _live(pushed, window)
     ref = _eliminated_alpha(fs)
     assert norm2(_blend(mix.alpha, fs) - _blend(ref, fs)) <= 1e-10 * max(norm2(fs[-1]), 1.0)
@@ -317,7 +326,7 @@ def test_repeated_iterate_takes_stacked_fallback_until_evicted():
     for x in (x0, x1, x1):
         pushed.append((x, g(x)))
         w.push(*pushed[-1])
-    assert list(_zero_columns(w)) == [1]
+    assert list(_zero_columns(w, pushed)) == [1]
     _check_fallback(w, pushed, same_averages=True)
     x = rng.standard_normal(6)
     pushed.append((x, g(x)))
@@ -329,7 +338,7 @@ def test_repeated_iterate_takes_stacked_fallback_until_evicted():
         pushed.append((x, g(x)))
         w.push(*pushed[-1])
         _check_fallback(w, pushed, same_averages=True)
-    assert not _zero_columns(w).size
+    assert not _zero_columns(w, pushed).size
 
 
 def _dependent_window():
@@ -350,22 +359,23 @@ def _dependent_window():
 
 def test_dependent_differences_take_stacked_fallback():
     _, _, w, pushed = _dependent_window()
-    assert list(_zero_columns(w)) == [2]
+    assert list(_zero_columns(w, pushed)) == [2]
     _check_fallback(w, pushed, same_averages=False)
 
 
 def test_dependent_differences_regain_the_factor_once_the_block_factors():
-    rng, f, w, _ = _dependent_window()
+    rng, f, w, pushed = _dependent_window()
     q, r = w.factor
     assert not q[:, 2].any() and r[2, 2] == 0.0
     # the next push evicts df_0; [df_1, df_2, df_3] is independent, and
     # the zero row has left the triangle
     x = rng.standard_normal(5)
-    w.push(x, x + f + rng.standard_normal(5))
+    pushed.append((x, x + f + rng.standard_normal(5)))
+    w.push(*pushed[-1])
     q, r = w.factor
-    block = w.differences()[1].T
+    block = _df(pushed, w).T
     assert q.shape == (5, 3) and np.allclose(q @ r, block, rtol=0.0, atol=1e-12)
-    assert not _zero_columns(w).size and np.abs(np.diag(r)).min() > 1e-8
+    assert not _zero_columns(w, pushed).size and np.abs(np.diag(r)).min() > 1e-8
 
 
 def test_scalar_window_deeper_than_its_dimension_takes_stacked_fallback():
@@ -378,7 +388,7 @@ def test_scalar_window_deeper_than_its_dimension_takes_stacked_fallback():
         pushed.append((np.array([x]), g(np.array([x]))))
         w.push(*pushed[-1])
         if len(w) > 1:
-            assert list(_zero_columns(w)) == list(range(1, len(w) - 1))
+            assert list(_zero_columns(w, pushed)) == list(range(1, len(w) - 1))
             _check_fallback(w, pushed, same_averages=False)
 
 
@@ -406,7 +416,7 @@ def test_factor_invariant_holds_through_repeats_dependencies_and_evictions(data)
     w.push(*pushed[0])
     for move in script:
         x, gx = pushed[-1]
-        df = w.differences()[1]
+        df = _df(pushed, w)
         if move == "dependent" and len(df):
             # f moves by an integer combination of the live df columns
             f = gx - x + ints(-2, 2, len(df)) @ df
@@ -417,7 +427,7 @@ def test_factor_invariant_holds_through_repeats_dependencies_and_evictions(data)
             gx = x + ints(-5, 5)
         pushed.append((x, gx))
         w.push(x, gx)
-        _zero_columns(w)
+        _zero_columns(w, pushed)
         for view in [w.tail(k) for k in range(2, len(w))] + [w]:
             fs = _live(pushed, view)[2]
             stacked = np.column_stack([f - fs[-1] for f in fs[:-1]])
@@ -441,7 +451,7 @@ def test_updated_factor_stays_orthogonal_over_a_long_run():
         if len(w) < 2:
             continue
         q, r = w.factor
-        block = w.differences()[1].T
+        block = _df(pushed, w).T
         assert np.linalg.norm(q.T @ q - np.eye(q.shape[1])) <= 1e-10
         assert np.linalg.norm(q @ r - block) <= 1e-10 * np.linalg.norm(block)
         fs = _live(pushed, w)[2]
@@ -458,26 +468,43 @@ def test_updated_factor_stays_orthogonal_on_nearly_dependent_differences():
     base = rng.standard_normal(n)
     f = rng.standard_normal(n)
     w = HistoryWindow(11)
+    pushed = []
     for _ in range(100):
         f = f + base + 1e-7 * rng.standard_normal(n)
         x = rng.standard_normal(n)
-        w.push(x, x + f)
+        pushed.append((x, x + f))
+        del pushed[:-11]
+        w.push(*pushed[-1])
         if len(w) < 2:
             continue
         q, r = w.factor
         assert np.linalg.norm(q.T @ q - np.eye(q.shape[1])) <= 1e-10
-        block = w.differences()[1].T
+        block = _df(pushed, w).T
         assert np.linalg.norm(q @ r - block) <= 1e-10 * np.linalg.norm(block)
+        # The mixed residual is f_k - Q (R gamma), never f_k - dF gamma: it
+        # and the averages match the stacked f_i - f_k solve as closely as a
+        # cond ~ 1e7 problem allows (alpha reaches ~1e7 here).
+        xs, gxs, fs = _live(pushed, w)
+        stacked = np.column_stack([f_i - fs[-1] for f_i in fs[:-1]])
+        weights = least_squares(stacked, -fs[-1])
+        alpha = np.append(weights, 1.0 - weights.sum())
+        mix = solve_mixing_coefficients(w)
+        assert abs(mix.mixed_norm - norm2(fs[-1] + stacked @ weights)) <= 1e-9 * norm2(fs[-1])
+        spread = np.abs(alpha).sum()
+        assert norm2(mix.x_avg - _blend(alpha, xs)) <= 1e-6 * spread * max(map(norm2, xs))
+        assert norm2(mix.gx_avg - _blend(alpha, gxs)) <= 1e-6 * spread * max(map(norm2, gxs))
 
 
 def test_factor_is_updated_in_place_in_preallocated_storage():
     rng = np.random.default_rng(88)
     n = 200
     w = HistoryWindow(8)
+    pushed = []
     q_first = None
     for _ in range(30):
         x = rng.standard_normal(n)
-        w.push(x, x + rng.standard_normal(n))
+        pushed.append((x, x + rng.standard_normal(n)))
+        w.push(*pushed[-1])
         if len(w) < 2:
             continue
         q, r = w.factor
@@ -485,8 +512,31 @@ def test_factor_is_updated_in_place_in_preallocated_storage():
             q_first = q
         assert np.shares_memory(q, q_first)
         assert np.array_equal(r, np.triu(r))
-        block = w.differences()[1].T
+        block = _df(pushed, w).T
         assert np.allclose(q @ r, block, rtol=0.0, atol=1e-12)
+
+
+def _owned_floats(window):
+    """Floats in the arrays that are the window's attributes and own their memory."""
+    return sum(a.size for a in vars(window).values() if isinstance(a, np.ndarray) and a.base is None)
+
+
+@pytest.mark.parametrize("capacity, n", [(1, 3), (2, 1), (5, 4), (5, 30), (21, 64)])
+def test_window_stores_the_dx_ring_and_the_factor_and_its_tails_store_nothing(capacity, n):
+    # Once full, a window holds the mirrored dx ring, Q and R, and no df
+    # block: 3 (c - 1) n + (c - 1)^2 floats for n >= c - 1.
+    rng = np.random.default_rng(capacity * n)
+    w = HistoryWindow(capacity)
+    for _ in range(capacity + 2):
+        x = rng.standard_normal(n)
+        w.push(x, x + rng.standard_normal(n))
+    slots = capacity - 1
+    assert _owned_floats(w) == 3 * slots * n + slots * slots
+    for k in range(1, capacity):
+        t = w.tail(k)
+        solve_mixing_coefficients(t)
+        views = [a for a in vars(t).values() if isinstance(a, np.ndarray)] + list(t.factor or ())
+        assert _owned_floats(t) == 0 and all(a.base is not None for a in views)
 
 
 def _refuse_qr_delete(*args, **kwargs):
@@ -501,11 +551,13 @@ def test_capacity_two_window_replaces_its_one_column_factor(monkeypatch):
     n = 50
     g = lambda x: np.cos(x) + 0.5
     w = HistoryWindow(2)
+    pushed = []
     x = rng.standard_normal(n)
     for i in range(240):
         if i != 120:  # push 120 repeats the iterate: a zero column
             x = rng.standard_normal(n)
-        w.push(x, g(x))
+        pushed.append((x, g(x)))
+        w.push(*pushed[-1])
         if i == 0:
             assert w.factor is None
             continue
@@ -515,7 +567,8 @@ def test_capacity_two_window_replaces_its_one_column_factor(monkeypatch):
             assert not q[:, 0].any() and np.array_equal(r, [[0.0]])
             assert np.array_equal(solve_mixing_coefficients(w).alpha, [0.0, 1.0])
             continue
-        u = w.differences()[1][0]
+        # u = f_i - f_{i-1}, the bits the window handed its factor
+        (u,) = _df(pushed, w)
         rho = np.sqrt(u @ u)
         assert np.array_equal(q[:, 0], u / rho), i
         assert np.array_equal(r, [[rho]]), i
@@ -594,15 +647,17 @@ def test_differences_whose_norm_overflows_mix_as_the_stacked_reference():
     # ||df|| near 1e154 overflows v @ v; the column is scaled, not zeroed
     rng = np.random.default_rng(3)
     w = HistoryWindow(3)
+    pushed = []
     with np.errstate(over="ignore"):
         for _ in range(3):
             x = rng.standard_normal(4)
-            w.push(x, x + 1e154 * rng.standard_normal(4))
+            pushed.append((x, x + 1e154 * rng.standard_normal(4)))
+            w.push(*pushed[-1])
         mix = solve_mixing_coefficients(w)
     q, r = w.factor
     assert np.abs(q.T @ q - np.eye(2)).max() <= 1e-12
-    assert np.allclose(q @ (r / 1e154), w.differences()[1].T / 1e154, rtol=0.0, atol=1e-12)
-    assert np.allclose(mix.alpha, _fallback_alpha(w), rtol=0.0, atol=1e-10)
+    assert np.allclose(q @ (r / 1e154), _df(pushed, w).T / 1e154, rtol=0.0, atol=1e-12)
+    assert np.allclose(mix.alpha, _fallback_alpha(w, pushed), rtol=0.0, atol=1e-10)
 
 
 # ---- damping ----
