@@ -294,6 +294,11 @@ class DampingPolicy:
             raise ValueError(f"unknown safeguard {self.safeguard!r}")
         if not 0.0 < self.eta < 0.5:
             raise ValueError(f"eta must be in (0, 0.5), got {self.eta}")
+        # A field the kind ignores would be lost on a round trip through the grammar.
+        if self.kind != "constant" and self.beta != 1.0:
+            raise ValueError(f"beta applies to constant damping, not {self.kind!r}")
+        if self.kind != "optimized" and (self.safeguard, self.eta) != ("off", 0.1):
+            raise ValueError(f"safeguard and eta apply to optimized damping, not {self.kind!r}")
 
     @classmethod
     def none(cls) -> "DampingPolicy":
@@ -341,8 +346,8 @@ class StepOutcome:
     x_next: np.ndarray
     gx_next: np.ndarray | None
     beta: float | None
-    theta: float
-    alpha_abs_sum: float
+    theta: float | None
+    alpha_abs_sum: float | None
     checks: tuple
     inner_theta: float | None = None
 

@@ -17,11 +17,17 @@ Each node also describes itself: `label` is its canonical grammar string,
 plots, and `cost_per_step` the g evaluations one run() step spends on it.
 That cost is built from `step_evals`, the evaluations made inside step():
 a node that hands back no image leaves one more to the caller.
+
+run() records the seed as step 0, a step whose outcome is x0 itself, and
+evaluates and records every step the same way. After each row the first
+check that holds ends the run: converged, then diverged (from step 1 on),
+then max_iters, then max_fevals.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Union
@@ -46,6 +52,14 @@ def _num(x: float) -> str:
     return repr(float(x))
 
 
+def _check_size(name: str, value) -> None:
+    # bool is an Integral, but AA(True) would render a label that does not parse.
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 0:
+        raise ValueError(f"{name} must be >= 0, got {value}")
+
+
 @dataclass(frozen=True)
 class Picard:
     """Plain fixed-point iteration x <- g(x)."""
@@ -66,8 +80,7 @@ class AA:
     damping: DampingPolicy = field(default_factory=DampingPolicy.none)
 
     def __post_init__(self):
-        if self.m < 0:
-            raise ValueError(f"window size must be >= 0, got {self.m}")
+        _check_size("window size", self.m)
 
     @property
     def depth(self) -> int:
@@ -183,8 +196,7 @@ class Multiplicative:
     def __post_init__(self):
         if not isinstance(self.outer, AA):
             raise ValueError("multiplicative composition needs a windowed outer accelerator")
-        if self.iter_n < 0:
-            raise ValueError(f"iter_n must be >= 0, got {self.iter_n}")
+        _check_size("iter_n", self.iter_n)
 
     @property
     def depth(self) -> int:
@@ -299,10 +311,11 @@ def run(
 ) -> ConvergenceTrace:
     """Iterate a solver spec on problem.g from x0 until a termination fires.
 
-    The first evaluation g(x0) seeds the history; every later iterate comes
-    from the solver's step. Each trace row records the residual recomputed
-    from the freshly evaluated pair, cumulative evaluation counts, and the
-    step's mixing diagnostics.
+    Row 0 is the seed step, whose iterate is x0 itself; later iterates come
+    from the solver's step. Each row records the residual of the freshly
+    evaluated pair, cumulative evaluation counts and the step's mixing
+    diagnostics. The first check that holds on a row ends the run:
+    converged, diverged (from step 1), max_iters, then max_fevals.
 
     Invalid arguments raise before the first evaluation. After that, any
     exception but DivergedError from an evaluation or a step (a failing g,
@@ -315,72 +328,47 @@ def run(
         raise ValueError(f"x0 must be a length-{problem.n} vector, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
         raise ValueError("x0 must be finite")
-
     if not isinstance(spec, AcceleratorSpec):
         raise TypeError(f"not an accelerator spec: {spec!r}")
-    meter = meter if meter is not None else WindowMeter()
     g = CountingMap(problem.g)
     window = HistoryWindow(spec.depth, meter)
     # Read once: the property recurses through the spec tree.
     cost = spec.cost_per_step
     start = time.perf_counter_ns()
-
     rows: list[TraceRow] = []
     termination: Termination | None = None
     error: str | None = None
-
-    try:
-        res0 = _advance(window, x, None, g).f_norm
-    except DivergedError:
-        termination = Termination.DIVERGED
-    except Exception as exc:  # noqa: BLE001 - kept on the trace
-        termination, error = Termination.FAILED, _describe(exc)
-    else:
-        rows.append(
-            TraceRow(k=0, fevals=g.calls, res_norm=res0, wall_ns=time.perf_counter_ns() - start)
-        )
-        if res0 <= config.tol:
-            termination = Termination.CONVERGED
-
+    out = StepOutcome(x, None, None, None, None, ())  # step 0, the seed: x0 itself
     k = 0
     while termination is None:
-        if k >= config.max_iters:
-            termination = Termination.MAX_ITERS
-            break
-        if g.calls + cost > config.max_fevals:
-            termination = Termination.MAX_FEVALS
-            break
         try:
-            out = spec.step(window, g)
+            if k > 0:
+                out = spec.step(window, g)
             res = _advance(window, out.x_next, out.gx_next, g).f_norm
         except DivergedError:
             termination = Termination.DIVERGED
             break
         except Exception as exc:  # noqa: BLE001 - kept on the trace
-            termination, error = Termination.FAILED, _describe(exc)
+            termination, error = Termination.FAILED, f"{type(exc).__name__}: {exc}"
             break
-        k += 1
         rows.append(
             TraceRow(
-                k=k,
-                fevals=g.calls,
-                res_norm=res,
-                beta=out.beta,
-                theta=out.theta,
-                alpha_abs_sum=out.alpha_abs_sum,
-                wall_ns=time.perf_counter_ns() - start,
-                inner_theta=out.inner_theta,
-                mixing_checks=out.checks,
+                k=k, fevals=g.calls, res_norm=res, beta=out.beta, theta=out.theta,
+                alpha_abs_sum=out.alpha_abs_sum, wall_ns=time.perf_counter_ns() - start,
+                inner_theta=out.inner_theta, mixing_checks=out.checks,
             )
         )
         if res <= config.tol:
             termination = Termination.CONVERGED
-        elif not math.isfinite(res) or res > config.divergence_factor * res0:
+        elif k > 0 and (
+            not math.isfinite(res) or res > config.divergence_factor * rows[0].res_norm
+        ):
             termination = Termination.DIVERGED
+        elif k >= config.max_iters:
+            termination = Termination.MAX_ITERS
+        elif g.calls + cost > config.max_fevals:
+            termination = Termination.MAX_FEVALS
+        k += 1
 
     window.close()
     return ConvergenceTrace(rows=rows, termination=termination, error=error, fevals=g.calls)
-
-
-def _describe(exc: Exception) -> str:
-    return f"{type(exc).__name__}: {exc}"

@@ -726,6 +726,15 @@ def test_damping_policy_validation():
         DampingPolicy(kind="bogus")
     with pytest.raises(ValueError):
         DampingPolicy(kind="optimized", safeguard="sometimes")
+    # fields the kind ignores
+    for fields in [
+        dict(kind="none", beta=0.3),
+        dict(kind="constant", beta=0.5, safeguard="floor"),
+        dict(kind="optimized", beta=0.2),
+        dict(kind="none", eta=0.3),
+    ]:
+        with pytest.raises(ValueError):
+            DampingPolicy(**fields)
     assert DampingPolicy.none().beta == 1.0
     assert DampingPolicy.constant(0.3).kind == "constant"
 

@@ -40,16 +40,18 @@ def res_seq(trace):
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
-        AA(-1)
+    for m in (-1, 2.0, True):
+        with pytest.raises(ValueError):
+            AA(m)
     with pytest.raises(ValueError):
         Additive(AA(1), AA(2), 0.7, 0.2)
     with pytest.raises(ValueError):
         Additive(Picard(), AA(1), float("nan"), float("nan"))
     with pytest.raises(ValueError):
         Multiplicative(Picard(), AA(1))
-    with pytest.raises(ValueError):
-        Multiplicative(AA(2), AA(1), iter_n=-1)
+    for iter_n in (-1, 1.5, False):
+        with pytest.raises(ValueError):
+            Multiplicative(AA(2), AA(1), iter_n=iter_n)
     with pytest.raises(ValueError):
         RunConfig(tol=0.0)
     with pytest.raises(ValueError):
@@ -58,6 +60,8 @@ def test_spec_validation():
         RunConfig(divergence_factor=1.0)
     # legal corners
     AA(0)
+    assert AA(np.int64(3)).label == "AA(3)"
+    assert Multiplicative(AA(2), AA(1), iter_n=np.int64(2)).label == "AA(2,AA(1));iterN=2"
     Multiplicative(AA(3), Picard(), iter_n=0)
     Additive(Picard(), AA(2), 0.25, 0.75)
 
@@ -284,6 +288,30 @@ def test_diverged_at_seed_returns_empty_trace():
     assert trace.rows == []
     # the seeding evaluation counts though it left no row
     assert np.isnan(trace.final_res) and trace.iters == 0 and trace.fevals == 1
+
+
+def test_termination_ladder_edge_order():
+    # x0 and g(x0) are finite but g(x0) - x0 overflows: the seed is row 0
+    # with an infinite residual, and divergence is judged from step 1 only.
+    p = FixedPointProblem(
+        n=1, g=lambda x: np.full_like(x, 1e308), label="overflow", default_start=[-1e308]
+    )
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        trace = run(Picard(), p, p.default_start)
+    assert trace.termination == Termination.CONVERGED
+    assert [r.k for r in trace.rows] == [0, 1]
+    assert trace.rows[0].res_norm == np.inf and trace.final_res == 0.0
+    # Convergence wins over a budget that the same row spends.
+    p = FixedPointProblem(
+        n=1, g=lambda x: np.full_like(x, 2.0), label="constant", default_start=[0.0]
+    )
+    for x0, cfg, iters in [
+        ([2.0], RunConfig(max_fevals=1), 0),  # the seed is the fixed point
+        ([0.0], RunConfig(max_iters=1), 1),
+        ([0.0], RunConfig(max_fevals=2), 1),
+    ]:
+        trace = run(Picard(), p, x0, cfg)
+        assert (trace.termination, trace.iters) == (Termination.CONVERGED, iters)
 
 
 def _failing_on_call(n_fail, problem):
