@@ -7,12 +7,12 @@ Solver grammar::
           | "AAoptD(" INT ["," SPEC] ")"
           | "ADD(" SPEC "," SPEC ["," FLOAT "," FLOAT] ")"
 
-A postfix suffix list may follow any SPEC: ";beta=F" turns AA(m) into a
-constant-damped accelerator, ";eta=F" and ";guard=floor|reflect" configure
-the optimized-damping safeguard, ";iterN=I" sets the inner step count of a
-composed form. "AA(m,SPEC)" composes multiplicatively (outer window m,
-fresh inner SPEC each step); "ADD" blends two specs with weights that must
-sum to one (default 0.5/0.5).
+A postfix suffix list may follow any SPEC, naming each suffix at most once:
+";beta=F" turns AA(m) into a constant-damped accelerator, ";eta=F" and
+";guard=floor|reflect" configure the optimized-damping safeguard, ";iterN=I"
+sets the inner step count of a composed form. "AA(m,SPEC)" composes
+multiplicatively (outer window m, fresh inner SPEC each step); "ADD" blends
+two specs with weights that must sum to one (default 0.5/0.5).
 
 Experiment configs are JSON with the shape::
 
@@ -30,7 +30,8 @@ scheme), tridiag (n). Command line flags are merged into the file's dict
 (or into an empty one) before anything is checked, so a flag wins over a
 file value, even an invalid one; the merged dict is then checked once.
 "--param" values stay strings until the problem's key table casts them; an
-integer key rejects a fraction and a float key rejects NaN and infinity.
+integer key rejects a fraction, a float key rejects NaN and infinity, and
+neither takes JSON true or false.
 The run keys are RunConfig's fields.
 """
 
@@ -86,14 +87,50 @@ _INT_RE = re.compile(r"\d+")
 _FLOAT_RE = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 _WORD_RE = re.compile(r"[A-Za-z_]+")
 
+# suffix -> (value pattern, the value's name in error messages, cast)
+_SUFFIXES = {
+    "beta": (_FLOAT_RE, "beta value", float),
+    "eta": (_FLOAT_RE, "eta value", float),
+    "guard": (_WORD_RE, "guard name", str),
+    "iterN": (_INT_RE, "iterN value", int),
+}
+
+
+def _with_suffix(node: AcceleratorSpec, key: str, value) -> AcceleratorSpec:
+    """node with the suffix key=value applied; ValueError if it does not apply."""
+    if key == "iterN":
+        if not isinstance(node, Multiplicative):
+            raise ValueError("iterN suffix applies to composed AA(m,SPEC) forms only")
+        return dataclasses.replace(node, iter_n=value)
+    if key == "beta":
+        if not isinstance(node, AA) or node.damping.kind != "none":
+            raise ValueError("beta suffix applies to plain AA(m) only")
+        return dataclasses.replace(node, damping=DampingPolicy.constant(value))
+    if key == "guard" and value not in ("floor", "reflect"):
+        raise ValueError(f"guard must be 'floor' or 'reflect', got {value!r}")
+    # eta and guard set the policy of an AAoptD node or of a composed form's outer one.
+    target = node.outer if isinstance(node, Multiplicative) else node
+    if not isinstance(target, AA) or target.damping.kind != "optimized":
+        raise ValueError("eta/guard suffixes apply to AAoptD forms only")
+    change = {"eta": value} if key == "eta" else {"safeguard": value}
+    target = dataclasses.replace(target, damping=dataclasses.replace(target.damping, **change))
+    return dataclasses.replace(node, outer=target) if isinstance(node, Multiplicative) else target
+
 
 class _SpecParser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
 
-    def fail(self, message: str):
-        raise SpecParseError(message, self.pos)
+    def fail(self, message: str, pos: int | None = None):
+        raise SpecParseError(message, self.pos if pos is None else pos)
+
+    def build(self, pos: int, make, *args):
+        """make(*args), with a ValueError it raises reported at column pos."""
+        try:
+            return make(*args)
+        except ValueError as exc:
+            raise SpecParseError(str(exc), pos) from exc
 
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -135,92 +172,42 @@ class _SpecParser:
         start = self.pos
         if self.eat("picard"):
             node: AcceleratorSpec = Picard()
-        elif self.eat("AAoptD("):
-            node = self._windowed(DampingPolicy.optimized())
-        elif self.eat("AA("):
-            node = self._windowed(DampingPolicy.none())
         elif self.eat("ADD("):
-            node = self._additive(start)
-        else:
-            self.fail("expected 'picard', 'AA(', 'AAoptD(' or 'ADD('")
-        return self._suffixes(node)
-
-    def _windowed(self, policy: DampingPolicy) -> AcceleratorSpec:
-        m = int(self.match(_INT_RE, "window size"))
-        inner = None
-        if self.eat(","):
-            inner = self.spec()
-        self.expect(")")
-        outer = AA(m, policy)
-        if inner is None:
-            return outer
-        return Multiplicative(outer, inner, iter_n=1)
-
-    def _additive(self, start: int) -> AcceleratorSpec:
-        left = self.spec()
-        self.expect(",")
-        right = self.spec()
-        w_left, w_right = 0.5, 0.5
-        if self.eat(","):
-            w_left = float(self.match(_FLOAT_RE, "weight"))
+            left = self.spec()
             self.expect(",")
-            w_right = float(self.match(_FLOAT_RE, "weight"))
-        self.expect(")")
-        try:
-            return Additive(left, right, w_left, w_right)
-        except ValueError as exc:
-            raise SpecParseError(str(exc), start) from exc
-
-    def _suffixes(self, node: AcceleratorSpec) -> AcceleratorSpec:
-        while True:
-            self.skip_ws()
-            if self.peek() != ";":
-                return node
-            self.pos += 1
+            right = self.spec()
+            weights = ()
+            if self.eat(","):
+                w_left = float(self.match(_FLOAT_RE, "weight"))
+                self.expect(",")
+                weights = (w_left, float(self.match(_FLOAT_RE, "weight")))
+            self.expect(")")
+            node = self.build(start, Additive, left, right, *weights)
+        else:
+            if self.eat("AAoptD("):
+                policy = DampingPolicy.optimized()
+            elif self.eat("AA("):
+                policy = DampingPolicy.none()
+            else:
+                self.fail("expected 'picard', 'AA(', 'AAoptD(' or 'ADD('")
+            node = AA(int(self.match(_INT_RE, "window size")), policy)
+            if self.eat(","):
+                node = Multiplicative(node, self.spec())
+            self.expect(")")
+        # Suffixes bind to the node just closed, each at most once.
+        seen = set()
+        while self.eat(";"):
             key_pos = self.pos
             key = self.match(_WORD_RE, "suffix name")
             self.expect("=")
-            node = self._apply_suffix(node, key, key_pos)
-
-    def _apply_suffix(self, node, key: str, key_pos: int):
-        if key == "beta":
-            value = float(self.match(_FLOAT_RE, "beta value"))
-            if not isinstance(node, AA) or node.damping.kind != "none":
-                self.fail_at(key_pos, "beta suffix applies to plain AA(m) only")
-            try:
-                return dataclasses.replace(node, damping=DampingPolicy.constant(value))
-            except ValueError as exc:
-                self.fail_at(key_pos, str(exc))
-        if key == "eta":
-            value = float(self.match(_FLOAT_RE, "eta value"))
-            return self._update_optimized(node, key_pos, eta=value)
-        if key == "guard":
-            value = self.match(_WORD_RE, "guard name")
-            if value not in ("floor", "reflect"):
-                self.fail_at(key_pos, f"guard must be 'floor' or 'reflect', got {value!r}")
-            return self._update_optimized(node, key_pos, safeguard=value)
-        if key == "iterN":
-            value = int(self.match(_INT_RE, "iterN value"))
-            if not isinstance(node, Multiplicative):
-                self.fail_at(key_pos, "iterN suffix applies to composed AA(m,SPEC) forms only")
-            return dataclasses.replace(node, iter_n=value)
-        self.fail_at(key_pos, f"unknown suffix {key!r}")
-
-    def _update_optimized(self, node, key_pos: int, **changes):
-        target = node.outer if isinstance(node, Multiplicative) else node
-        if not isinstance(target, AA) or target.damping.kind != "optimized":
-            self.fail_at(key_pos, "eta/guard suffixes apply to AAoptD forms only")
-        try:
-            policy = dataclasses.replace(target.damping, **changes)
-        except ValueError as exc:
-            self.fail_at(key_pos, str(exc))
-        new_target = dataclasses.replace(target, damping=policy)
-        if isinstance(node, Multiplicative):
-            return dataclasses.replace(node, outer=new_target)
-        return new_target
-
-    def fail_at(self, pos: int, message: str):
-        raise SpecParseError(message, pos)
+            if key not in _SUFFIXES:
+                self.fail(f"unknown suffix {key!r}", key_pos)
+            if key in seen:
+                self.fail(f"suffix {key!r} is given twice", key_pos)
+            seen.add(key)
+            regex, what, cast = _SUFFIXES[key]
+            node = self.build(key_pos, _with_suffix, node, key, cast(self.match(regex, what)))
+        return node
 
 
 def parse_spec(text: str) -> AcceleratorSpec:
@@ -264,8 +251,10 @@ def build_problem(kind: str, params: dict):
 
 
 def _cast(cast, value, name: str):
-    """cast(value), refusing a fraction for int and NaN or infinity for float."""
+    """cast(value), refusing a bool, a fraction for int and NaN or infinity for float."""
     try:
+        if isinstance(value, bool):  # JSON true/false, which int() and float() would take
+            raise ValueError
         out = cast(value)
         fraction = cast is int and isinstance(value, float) and out != value
         if fraction or (cast is float and not np.isfinite(out)):
@@ -327,8 +316,9 @@ def _config_from_dict(raw: dict) -> ExperimentConfig:
     if unknown_run:
         raise ValueError(f"unknown run keys: {sorted(unknown_run)}")
     for key, value in run.items():
-        if type(fields[key]) is int:  # an integer field rejects a fraction, as problem keys do
-            run[key] = _cast(int, value, f"run {key}")
+        # An integer field rejects a fraction, as problem keys do; any field rejects a bool.
+        if type(fields[key]) is int or isinstance(value, bool):
+            run[key] = _cast(type(fields[key]), value, f"run {key}")
     try:
         run_config = RunConfig(**run)
     except TypeError as exc:

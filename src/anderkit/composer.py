@@ -52,12 +52,12 @@ def _num(x: float) -> str:
     return repr(float(x))
 
 
-def _check_size(name: str, value) -> None:
+def _check_size(name: str, value, least: int = 0) -> None:
     # bool is an Integral, but AA(True) would render a label that does not parse.
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < 0:
-        raise ValueError(f"{name} must be >= 0, got {value}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -266,10 +266,8 @@ class RunConfig:
     def __post_init__(self):
         if not self.tol > 0.0:
             raise ValueError(f"tol must be positive, got {self.tol}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.max_fevals < 1:
-            raise ValueError(f"max_fevals must be >= 1, got {self.max_fevals}")
+        _check_size("max_iters", self.max_iters, least=1)
+        _check_size("max_fevals", self.max_fevals, least=1)
         if not self.divergence_factor > 1.0:
             raise ValueError(
                 f"divergence_factor must exceed 1, got {self.divergence_factor}"

@@ -119,12 +119,8 @@ def contraction_audit(
     return report
 
 
-def _fmt(value: float | int | None) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, int):
-        return str(value)
-    return f"{value:.17g}"
+def _fmt(value: float | None) -> str:
+    return "" if value is None else f"{value:.17g}"
 
 
 def write_trace_csv(trace: ConvergenceTrace, path, iter_scale: int = 1) -> None:

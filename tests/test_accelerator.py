@@ -78,6 +78,8 @@ def test_window_tail_views_newest_entries():
     assert [x[0] for x in _xs(t)] == [3.0, 4.0]
     # tail of more than available returns what exists
     assert len(w.tail(99)) == 5
+    with pytest.raises(ValueError, match="tail size"):
+        w.tail(0)
 
 
 def test_window_tail_reuses_itself_and_copies_newest_differences():

@@ -72,6 +72,13 @@ def test_parse_suffixes():
     # suffix binds to the node just closed, so an inner suffix is legal
     spec = parse_spec("ADD(AA(3);beta=0.5,picard)")
     assert spec == Additive(AA(3, DampingPolicy.constant(0.5)), Picard())
+    # each node has its own suffix list, so one key may be given on two nodes
+    assert parse_spec("ADD(AAoptD(2);eta=0.2,AAoptD(1);eta=0.3)") == Additive(
+        AA(2, DampingPolicy.optimized(eta=0.2)), AA(1, DampingPolicy.optimized(eta=0.3))
+    )
+    assert parse_spec("AAoptD(2,AAoptD(1);eta=0.2);eta=0.3") == Multiplicative(
+        AA(2, DampingPolicy.optimized(eta=0.3)), AA(1, DampingPolicy.optimized(eta=0.2))
+    )
 
 
 def test_parse_tolerates_whitespace():
@@ -101,6 +108,11 @@ def test_parse_tolerates_whitespace():
         "AA(2);gamma=1",
         "ADD(AA(1),AA(2),0.2,0.3)",  # weights must sum to one
         "ADD(picard,AA(1),1e400,-1e400)",  # inf - inf is NaN, not one
+        # a suffix list names each suffix at most once
+        "AAoptD(2);eta=0.2;eta=0.3",
+        "AA(2,AA(1));iterN=2;iterN=3",
+        "AAoptD(2);guard=floor;guard=reflect",
+        "AA(3);beta=0.5;beta=0.7",
     ],
 )
 def test_parse_rejects_malformed(text):
@@ -117,6 +129,13 @@ def test_parse_error_carries_position():
         parse_spec("AA(two)")
     assert "window size" in str(err.value)
     assert isinstance(err.value, ValueError)
+    # a rejected suffix value is reported at its key
+    with pytest.raises(SpecParseError, match="column 11: eta must be in") as err:
+        parse_spec("AAoptD(2);eta=0.7")
+    assert err.value.pos == 10
+    with pytest.raises(SpecParseError, match="column 19: suffix 'eta' is given twice") as err:
+        parse_spec("AAoptD(2);eta=0.2;eta=0.3")
+    assert err.value.pos == 18
 
 
 # ---- rendering ----
@@ -242,6 +261,9 @@ def test_build_problem_kinds_and_params():
         ("bratu", {"N": 4, "lam": float("nan")}, "must be float"),
         ("bratu", {"N": 4, "lam": "inf"}, "must be float"),
         ("convdiff", {"N": 4, "eps": float("-inf")}, "must be float"),
+        # JSON true and false are not numbers
+        ("bratu", {"N": 4, "lam": True}, "must be float"),
+        ("tridiag", {"n": False}, "must be int"),
     ):
         with pytest.raises(ValueError, match=message):
             build_problem(kind, params)
@@ -312,6 +334,9 @@ def test_load_experiment_config_rejects_unknown_keys(tmp_path):
         {"run": {"tol": "x"}},
         {"run": {"max_iters": 2.5}},
         {"run": {"max_fevals": 10.5}},
+        {"run": {"tol": True}},
+        {"run": {"max_iters": True}},
+        {"problem": {"kind": "bratu", "lam": True}},
         {"solvers": 5},
         {"solvers": "AA(2)"},
         {"solvers": ["AA(2)", 3]},
@@ -435,6 +460,11 @@ def test_main_run_with_flags(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "AA(20): converged" in out
     assert (tmp_path / "res" / "summary.csv").exists()
+    # --paper-style-iters scales the iter column by the sub-steps per step
+    argv = ["run", "--problem", "tridiag", "--solver", "AA(2,AA(1))", "--max-iters", "3"]
+    assert main([*argv, "--paper-style-iters", "--out", str(tmp_path / "scaled")]) == 0
+    rows = read_trace_rows(tmp_path / "scaled" / "AA(2,AA(1)).csv")
+    assert [r.k for r in rows] == [0, 2, 4, 6]
 
 
 def test_main_run_with_config_and_overrides(tmp_path, capsys):

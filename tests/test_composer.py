@@ -54,8 +54,15 @@ def test_spec_validation():
             Multiplicative(AA(2), AA(1), iter_n=iter_n)
     with pytest.raises(ValueError):
         RunConfig(tol=0.0)
-    with pytest.raises(ValueError):
-        RunConfig(max_iters=0)
+    for budgets in (
+        {"max_iters": 0},
+        {"max_iters": 2.5},
+        {"max_iters": True},
+        {"max_fevals": 0},
+        {"max_fevals": 3.5},
+    ):
+        with pytest.raises(ValueError, match="must be"):
+            RunConfig(**budgets)
     with pytest.raises(ValueError):
         RunConfig(divergence_factor=1.0)
     # legal corners
@@ -64,6 +71,7 @@ def test_spec_validation():
     assert Multiplicative(AA(2), AA(1), iter_n=np.int64(2)).label == "AA(2,AA(1));iterN=2"
     Multiplicative(AA(3), Picard(), iter_n=0)
     Additive(Picard(), AA(2), 0.25, 0.75)
+    RunConfig(max_iters=np.int64(5), max_fevals=np.int64(1))
 
 
 def test_counting_map():
@@ -367,6 +375,8 @@ def test_run_validates_start_vector():
         run(Picard(), p, np.zeros(p.n + 1))
     with pytest.raises(ValueError):
         run(Picard(), p, np.full(p.n, np.inf))
+    with pytest.raises(TypeError):
+        run("AA(2)", p, p.default_start)
 
 
 # ---- trace diagnostics content ----
@@ -472,6 +482,14 @@ def test_additive_weights_blend_the_two_steps():
 
     trace = run(Additive(AA(2), AA(1), 0.3, 0.7), p, p.default_start, cfg)
     assert trace.rows[1].res_norm == pytest.approx(expect, rel=1e-14)
+
+    # a blend that overflows ends the run as diverged before it is evaluated
+    huge = FixedPointProblem(n=1, g=lambda x: np.full(1, 1e308), label="huge",
+                             default_start=np.zeros(1))
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        trace = run(Additive(Picard(), AA(0), 2.0, -1.0), huge, huge.default_start)
+    assert trace.termination == Termination.DIVERGED
+    assert len(trace.rows) == 1 and trace.fevals == 1
 
 
 def test_additive_with_identical_sides_matches_single_accelerator():

@@ -85,6 +85,8 @@ def test_grid_indexing_row_major():
         grid.index(3, 0)
     with pytest.raises(ValueError):
         grid.index(0, -1)
+    with pytest.raises(ValueError, match="n_side"):
+        Grid2D(0)
 
 
 def test_grid_mesh_excludes_boundary():
@@ -113,6 +115,14 @@ def test_problem_residual_and_known_solution_check():
             default_start=np.zeros(2),
             known_solution=np.zeros(2),  # not a fixed point of x+1
         )
+    for start, known in (
+        (np.zeros(3), None),
+        (np.array([0.0, np.nan]), None),
+        (np.zeros(2), np.zeros(3)),
+    ):
+        with pytest.raises(ValueError):
+            FixedPointProblem(n=2, g=lambda x: x, label="bad", default_start=start,
+                              known_solution=known)
 
 
 # ---- bratu ----
