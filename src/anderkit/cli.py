@@ -29,10 +29,10 @@ Problem kinds and their keys: bratu (N, lam), convdiff (N, eps, react,
 scheme), tridiag (n). Command line flags are merged into the file's dict
 (or into an empty one) before anything is checked, so a flag wins over a
 file value, even an invalid one; the merged dict is then checked once.
-"--param" values stay strings until the problem's key table casts them; an
-integer key rejects a fraction, a float key rejects NaN and infinity, and
-neither takes JSON true or false.
-The run keys are RunConfig's fields.
+Problem and run values are read by one rule: a number or a numeric string
+("--param" values stay strings until then), never JSON true or false; an
+integer key rejects a fraction, a float key rejects NaN and infinity. The
+run keys are RunConfig's fields, so tol and divergence_factor are floats.
 """
 
 from __future__ import annotations
@@ -151,14 +151,16 @@ class _SpecParser:
             found = self.peek() or "end of input"
             self.fail(f"expected {literal!r}, found {found!r}")
 
-    def match(self, regex: re.Pattern, what: str) -> str:
+    def match(self, regex: re.Pattern, what: str, cast=str):
+        """cast of the text regex matches next; a cast error is reported where it starts."""
         self.skip_ws()
         m = regex.match(self.text, self.pos)
         if m is None:
             found = self.peek() or "end of input"
             self.fail(f"expected {what}, found {found!r}")
+        value = self.build(self.pos, cast, m.group(0))
         self.pos = m.end()
-        return m.group(0)
+        return value
 
     def parse(self) -> AcceleratorSpec:
         spec = self.spec()
@@ -178,9 +180,9 @@ class _SpecParser:
             right = self.spec()
             weights = ()
             if self.eat(","):
-                w_left = float(self.match(_FLOAT_RE, "weight"))
+                w_left = self.match(_FLOAT_RE, "weight", float)
                 self.expect(",")
-                weights = (w_left, float(self.match(_FLOAT_RE, "weight")))
+                weights = (w_left, self.match(_FLOAT_RE, "weight", float))
             self.expect(")")
             node = self.build(start, Additive, left, right, *weights)
         else:
@@ -190,7 +192,7 @@ class _SpecParser:
                 policy = DampingPolicy.none()
             else:
                 self.fail("expected 'picard', 'AA(', 'AAoptD(' or 'ADD('")
-            node = AA(int(self.match(_INT_RE, "window size")), policy)
+            node = AA(self.match(_INT_RE, "window size", int), policy)
             if self.eat(","):
                 node = Multiplicative(node, self.spec())
             self.expect(")")
@@ -206,7 +208,8 @@ class _SpecParser:
                 self.fail(f"suffix {key!r} is given twice", key_pos)
             seen.add(key)
             regex, what, cast = _SUFFIXES[key]
-            node = self.build(key_pos, _with_suffix, node, key, cast(self.match(regex, what)))
+            node = self.build(key_pos, lambda text: _with_suffix(node, key, cast(text)),
+                              self.match(regex, what))
         return node
 
 
@@ -231,6 +234,8 @@ _PROBLEMS = {
     ),
     "tridiag": (tridiag_problem, {"n": (int, 100)}),
 }
+# The run keys are RunConfig's fields, each cast to its default's type.
+_RUN_KEYS = {f.name: (type(f.default), f.default) for f in dataclasses.fields(RunConfig)}
 
 
 def build_problem(kind: str, params: dict):
@@ -242,12 +247,16 @@ def build_problem(kind: str, params: dict):
     if kind not in _PROBLEMS:
         raise ValueError(f"unknown problem kind {kind!r} (expected one of {sorted(_PROBLEMS)})")
     factory, keys = _PROBLEMS[kind]
-    for key in params:
+    return factory(*_read_keys(params, keys, f"{kind} parameter").values())
+
+
+def _read_keys(values: dict, keys: dict, what: str) -> dict:
+    """{key: _cast value or default} for the keys table; ValueError for a key it does not name."""
+    for key in values:
         if key not in keys:
-            raise ValueError(f"unknown {kind} parameter {key!r} (expected one of {list(keys)})")
-    args = [_cast(cast, params.get(key, default), f"{kind} parameter {key}")
-            for key, (cast, default) in keys.items()]
-    return factory(*args)
+            raise ValueError(f"unknown {what} {key!r} (expected one of {list(keys)})")
+    return {key: _cast(cast, values.get(key, default), f"{what} {key}")
+            for key, (cast, default) in keys.items()}
 
 
 def _cast(cast, value, name: str):
@@ -310,19 +319,7 @@ def _config_from_dict(raw: dict) -> ExperimentConfig:
     kind = problem.pop("kind", None)
     if kind is None:
         raise ValueError("config must set problem.kind")
-    run = _object_section(raw, "run")
-    fields = {f.name: f.default for f in dataclasses.fields(RunConfig)}
-    unknown_run = set(run) - set(fields)
-    if unknown_run:
-        raise ValueError(f"unknown run keys: {sorted(unknown_run)}")
-    for key, value in run.items():
-        # An integer field rejects a fraction, as problem keys do; any field rejects a bool.
-        if type(fields[key]) is int or isinstance(value, bool):
-            run[key] = _cast(type(fields[key]), value, f"run {key}")
-    try:
-        run_config = RunConfig(**run)
-    except TypeError as exc:
-        raise ValueError(f"config 'run' values must be numbers ({exc})") from None
+    run_config = RunConfig(**_read_keys(_object_section(raw, "run"), _RUN_KEYS, "run key"))
     solvers = raw.get("solvers", ["picard"])
     if not isinstance(solvers, list) or not all(isinstance(text, str) for text in solvers):
         raise ValueError("config 'solvers' must be a list of strings")

@@ -264,13 +264,13 @@ class RunConfig:
     divergence_factor: float = 1e6
 
     def __post_init__(self):
-        if not self.tol > 0.0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
         _check_size("max_iters", self.max_iters, least=1)
         _check_size("max_fevals", self.max_fevals, least=1)
-        if not self.divergence_factor > 1.0:
+        if not 1.0 < self.divergence_factor < math.inf:
             raise ValueError(
-                f"divergence_factor must exceed 1, got {self.divergence_factor}"
+                f"divergence_factor must exceed 1 and be finite, got {self.divergence_factor}"
             )
 
 

@@ -6,6 +6,7 @@ import csv
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from numbers import Integral
 from pathlib import Path
 
 TRACE_COLUMNS = ("iter", "fevals", "res_norm", "beta", "theta", "alpha_abs_sum", "wall_ns")
@@ -124,9 +125,9 @@ def _fmt(value: float | None) -> str:
 
 
 def write_trace_csv(trace: ConvergenceTrace, path, iter_scale: int = 1) -> None:
-    """Write the seven trace columns; floats carry 17 significant digits."""
-    if iter_scale < 1:
-        raise ValueError(f"iter_scale must be >= 1, got {iter_scale}")
+    """Write the seven trace columns, iter times the integer iter_scale; floats keep 17 digits."""
+    if isinstance(iter_scale, bool) or not isinstance(iter_scale, Integral) or iter_scale < 1:
+        raise ValueError(f"iter_scale must be an integer >= 1, got {iter_scale!r}")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(TRACE_COLUMNS)
@@ -149,10 +150,12 @@ def read_trace_rows(path) -> list[TraceRow]:
     rows = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if tuple(header) != TRACE_COLUMNS:
+        header = next(reader, None)
+        if header is None or tuple(header) != TRACE_COLUMNS:
             raise ValueError(f"unexpected trace header in {Path(path).name}: {header}")
         for rec in reader:
+            if len(rec) != len(TRACE_COLUMNS):
+                raise ValueError(f"{Path(path).name}:{reader.line_num}: {len(rec)} cells, not 7")
             rows.append(
                 TraceRow(
                     k=int(rec[0]),

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -136,6 +137,12 @@ def test_parse_error_carries_position():
     with pytest.raises(SpecParseError, match="column 19: suffix 'eta' is given twice") as err:
         parse_spec("AAoptD(2);eta=0.2;eta=0.3")
     assert err.value.pos == 18
+    # an integer beyond int's digit limit is a parse error too: a window size
+    # at its first digit, a suffix value at its key
+    for text, pos in (("AA(" + "1" * 5000 + ")", 3), ("AA(2,AA(1));iterN=" + "1" * 5000, 12)):
+        with pytest.raises(SpecParseError, match=f"column {pos + 1}: Exceeds") as err:
+            parse_spec(text)
+        assert err.value.pos == pos
 
 
 # ---- rendering ----
@@ -336,6 +343,9 @@ def test_load_experiment_config_rejects_unknown_keys(tmp_path):
         {"run": {"max_fevals": 10.5}},
         {"run": {"tol": True}},
         {"run": {"max_iters": True}},
+        # infinity, which json.load reads from Infinity, is no tolerance or factor
+        {"run": {"tol": math.inf}},
+        {"run": {"divergence_factor": math.inf}},
         {"problem": {"kind": "bratu", "lam": True}},
         {"solvers": 5},
         {"solvers": "AA(2)"},
@@ -465,6 +475,10 @@ def test_main_run_with_flags(tmp_path, capsys):
     assert main([*argv, "--paper-style-iters", "--out", str(tmp_path / "scaled")]) == 0
     rows = read_trace_rows(tmp_path / "scaled" / "AA(2,AA(1)).csv")
     assert [r.k for r in rows] == [0, 2, 4, 6]
+    # an infinite tolerance is a config error, not a run converged at its seed
+    capsys.readouterr()
+    assert main([*argv, "--tol", "inf", "--out", str(tmp_path / "inf")]) == 1
+    assert "anderkit: config error:" in capsys.readouterr().err
 
 
 def test_main_run_with_config_and_overrides(tmp_path, capsys):
@@ -491,6 +505,9 @@ def test_flags_and_run_fields_stay_in_step(tmp_path):
     cfg_path = tmp_path / "exp.json"
     _write_config(cfg_path, run=fields)
     assert load_experiment_config(cfg_path).run_config == RunConfig(**fields)
+    # run values are read like --param values: a numeric string is a number
+    _write_config(cfg_path, run={"tol": "1e-6", "max_iters": "400"})
+    assert load_experiment_config(cfg_path).run_config == RunConfig(tol=1e-6, max_iters=400)
 
 
 def test_flags_override_invalid_file_values(tmp_path, capsys):

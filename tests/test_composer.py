@@ -1,5 +1,7 @@
 """Solver-spec composition semantics, the run loop, and evaluation accounting."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,9 @@ def test_spec_validation():
             RunConfig(**budgets)
     with pytest.raises(ValueError):
         RunConfig(divergence_factor=1.0)
+    for bounds in ({"tol": math.inf}, {"divergence_factor": math.inf}):
+        with pytest.raises(ValueError, match="finite"):
+            RunConfig(**bounds)
     # legal corners
     AA(0)
     assert AA(np.int64(3)).label == "AA(3)"

@@ -159,10 +159,17 @@ def test_read_trace_rejects_wrong_header(tmp_path):
     path.write_text("a,b,c\n1,2,3\n", encoding="utf-8")
     with pytest.raises(ValueError):
         read_trace_rows(path)
+    # an empty file, and a row with too few or too many cells
+    header = ",".join(TRACE_COLUMNS) + "\n"
+    for text in ("", header + "0,1,2\n", header + "0,1,2.5,,,,7,8\n"):
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError):
+            read_trace_rows(path)
 
 
 def test_write_trace_rejects_bad_scale(tmp_path):
     p, _ = affine_problem(seed=45)
     trace = run(Picard(), p, p.default_start, RunConfig(tol=1e-300, max_iters=2))
-    with pytest.raises(ValueError):
-        write_trace_csv(trace, tmp_path / "x.csv", iter_scale=0)
+    for scale in (0, 1.5, True):
+        with pytest.raises(ValueError):
+            write_trace_csv(trace, tmp_path / "x.csv", iter_scale=scale)
