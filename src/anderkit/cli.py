@@ -29,6 +29,7 @@ Problem kinds and their keys: bratu (N, lam), convdiff (N, eps, react,
 scheme), tridiag (n). Command line flags are merged into the file's dict
 (or into an empty one) before anything is checked, so a flag wins over a
 file value, even an invalid one; the merged dict is then checked once.
+The problem kind comes from --problem or the file, never from --param.
 Problem and run values are read by one rule: a number or a numeric string
 ("--param" values stay strings until then), never JSON true or false; an
 integer key rejects a fraction, a float key rejects NaN and infinity. The
@@ -63,7 +64,6 @@ from .composer import (
 )
 from .diagnostics import Termination, write_trace_csv
 from .problems import (
-    FixedPointProblem,
     bratu_problem,
     convdiff_problem,
     gmres_reference,
@@ -383,10 +383,7 @@ def _check_window_reaches_gmres_bound():
 
 
 def _check_feval_budget():
-    rng = np.random.default_rng(7)
-    mat = rng.standard_normal((8, 8))
-    mat *= 0.8 / np.linalg.norm(mat, 2)
-    problem = _affine_problem(mat, np.ones(8))
+    problem = tridiag_problem(30)
     cfg = RunConfig(tol=1e-300, max_iters=10)
     points = {
         "picard": (Picard(), 11),
@@ -427,15 +424,6 @@ def _check_gmres():
 def _check_grammar_roundtrip():
     for text in EXAMPLE_SPECS:
         assert render_spec(parse_spec(text)) == text, text
-
-
-def _affine_problem(mat: np.ndarray, offset: np.ndarray):
-    return FixedPointProblem(
-        n=offset.shape[0],
-        g=lambda x: mat @ x + offset,
-        label="affine",
-        default_start=np.zeros(offset.shape[0]),
-    )
 
 
 _CHECKS = (
@@ -527,6 +515,8 @@ def _config_from_args(args) -> ExperimentConfig:
         key, sep, value = item.partition("=")
         if not sep:
             raise ValueError(f"--param expects KEY=VALUE, got {item!r}")
+        if key == "kind":
+            raise ValueError("--param cannot set the problem kind; use --problem")
         problem[key] = value
     run = _object_section(raw, "run")
     for f in dataclasses.fields(RunConfig):

@@ -14,10 +14,13 @@ for Q and dtrtrs for the triangle, the same routines scipy.linalg.qr and
 solve_triangular run, without their per-call wrapper work. dtrtrs gets
 R^T with lower=1, trans=1, which is what solve_triangular passes for the
 C-ordered triangle it is given; a plain upper solve on R rounds
-differently. The optimal workspace sizes, which depend only on the block
-shape, are queried once per shape and cached. The finiteness check that
-check_finite made is kept: a non-finite matrix, or a non-finite Q^T rhs
-(which a non-finite rhs gives), raises ValueError.
+differently. dgeqp3 and dorgqr get the wrappers' default workspaces: up
+to 128 columns, LAPACK's blocking crossover, both run unblocked whatever
+the workspace, with the bits of the optimal one scipy.linalg.qr queries.
+A wider block (AA(129) or deeper) misses the blocked path, so it is slower
+and may round differently. The finiteness check that check_finite made is
+kept: a non-finite matrix, or a non-finite Q^T rhs (which a non-finite rhs
+gives), raises ValueError.
 
 A 1 x 1 system, which every depth-1 window hands over, skips the LAPACK
 calls and does their arithmetic in closed form, bit for bit. dgeqp3
@@ -28,16 +31,15 @@ b = -0.0, which 0.0 + b turns into +0.0, and the quotient's sign of zero
 follows (b = -0.0, a = -2 gives -0.0, not +0.0). dtrtrs then divides, so
 w = (0.0 + b) / a, which overflows to inf as dtrtrs does.
 
-scipy is imported by the functions that call LAPACK, on their first call,
-not when this module is imported: a process whose systems are all 1 x 1
-never loads it. Once loaded, the function-local import is a dictionary
-lookup of well under a microsecond.
+least_squares imports scipy on its first LAPACK call, not when this
+module is imported: a process whose systems are all 1 x 1 never loads it.
+Once loaded, the function-local import is a dictionary lookup of well
+under a microsecond.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -78,17 +80,6 @@ def norm2(v) -> float:
         return float(np.sqrt(ordered_sum(v * v)))
 
 
-@lru_cache(maxsize=128)
-def _lwork(n: int, p: int) -> tuple[int, int]:
-    """Optimal workspace sizes of dgeqp3 and dorgqr for an n x p block."""
-    from scipy.linalg import lapack
-
-    probe = np.zeros((n, p), order="F")
-    geqp3 = lapack.dgeqp3(probe, lwork=-1)[-2]
-    orgqr = lapack.dorgqr(probe, np.zeros(p), lwork=-1)[-2]
-    return int(geqp3[0]), int(orgqr[0])
-
-
 def _check_info(info: int, routine: str) -> None:
     if info != 0:
         raise np.linalg.LinAlgError(f"{routine} returned info={info}")
@@ -127,8 +118,7 @@ def least_squares(matrix, rhs) -> np.ndarray:
 
     from scipy.linalg import lapack
 
-    geqp3_lwork, orgqr_lwork = _lwork(n, p)
-    qr, piv, tau, _, info = lapack.dgeqp3(a, lwork=geqp3_lwork, overwrite_a=1)
+    qr, piv, tau, _, info = lapack.dgeqp3(a, overwrite_a=1)
     _check_info(info, "dgeqp3")
     # R is the upper triangle of qr[:p]; dtrtrs and diag read nothing else.
     diag = np.abs(np.diag(qr))
@@ -137,7 +127,7 @@ def least_squares(matrix, rhs) -> np.ndarray:
     rank = int(np.count_nonzero(diag >= RANK_TOL * diag[0]))
     # Copied out before dorgqr overwrites qr with Q.
     r = qr[:rank, :rank].copy()
-    q, _, info = lapack.dorgqr(qr, tau, lwork=orgqr_lwork, overwrite_a=1)
+    q, _, info = lapack.dorgqr(qr, tau, overwrite_a=1)
     _check_info(info, "dorgqr")
     qtb = q.T[:rank] @ b
     if not np.isfinite(qtb).all():

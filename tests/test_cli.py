@@ -524,7 +524,7 @@ def test_flags_override_invalid_file_values(tmp_path, capsys):
     assert "AA(2): max_iters after 5 iters" in capsys.readouterr().out
 
 
-def test_main_switching_problem_kind_drops_file_params(tmp_path):
+def test_main_switching_problem_kind_drops_file_params(tmp_path, capsys):
     cfg_path = tmp_path / "exp.json"
     _write_config(cfg_path)  # tridiag with n=30
     code = main(
@@ -545,6 +545,14 @@ def test_main_switching_problem_kind_drops_file_params(tmp_path):
         ]
     )
     assert code == 0
+    # The kind comes from --problem or the file, never from --param.
+    for argv in (
+        ["run", "--problem", "tridiag", "--param", "kind=bratu", "--param", "N=8"],
+        ["run", "--config", str(cfg_path), "--param", "kind=bratu", "--param", "N=8"],
+    ):
+        assert main([*argv, "--max-iters", "5", "--out", str(tmp_path / "o3")]) == 1
+        assert "anderkit: config error: --param cannot set the problem kind" in capsys.readouterr().err
+    assert not (tmp_path / "o3").exists()
 
 
 def test_main_exits_3_when_a_solver_fails_and_runs_the_rest(tmp_path, capsys, monkeypatch):

@@ -187,6 +187,14 @@ def _kernel_cases():
         yield "zero", np.zeros((n, p)), rng.standard_normal(n)
     for _ in range(20):
         yield "1x1", rng.standard_normal((1, 1)) * 10.0 ** rng.integers(-5, 5), rng.standard_normal(1)
+    # 22-127 columns: LAPACK still runs unblocked, whatever the workspace.
+    for _ in range(20):
+        p = int(rng.integers(22, 128))
+        n = p + int(rng.integers(0, 60))
+        yield "wide-tall", scaled(n, p), rng.standard_normal(n)
+    for _ in range(20):
+        p = int(rng.integers(22, 128))
+        yield "wide-triangle", np.linalg.qr(scaled(p + 10, p))[1], rng.standard_normal(p)
 
 
 def test_least_squares_is_bit_identical_to_the_scipy_wrapper_solve():
