@@ -12,7 +12,9 @@ A postfix suffix list may follow any SPEC, naming each suffix at most once:
 ";guard=floor|reflect" configure the optimized-damping safeguard, ";iterN=I"
 sets the inner step count of a composed form. "AA(m,SPEC)" composes
 multiplicatively (outer window m, fresh inner SPEC each step); "ADD" blends
-two specs with weights that must sum to one (default 0.5/0.5).
+two specs with weights that must sum to one (default 0.5/0.5). A SPEC
+nests at most 100 levels below the top-level one, a fixed limit that keeps
+every recursive walk of a parsed spec far inside Python's recursion limit.
 
 Experiment configs are JSON with the shape::
 
@@ -86,6 +88,7 @@ class SpecParseError(ValueError):
 _INT_RE = re.compile(r"\d+")
 _FLOAT_RE = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 _WORD_RE = re.compile(r"[A-Za-z_]+")
+_MAX_NESTING = 100  # levels below the top-level SPEC
 
 # suffix -> (value pattern, the value's name in error messages, cast)
 _SUFFIXES = {
@@ -169,15 +172,17 @@ class _SpecParser:
             self.fail(f"expected end of input, found {self.peek()!r}")
         return spec
 
-    def spec(self) -> AcceleratorSpec:
+    def spec(self, level: int = 0) -> AcceleratorSpec:
         self.skip_ws()
         start = self.pos
+        if level > _MAX_NESTING:
+            self.fail(f"solver nests more than {_MAX_NESTING} levels")
         if self.eat("picard"):
             node: AcceleratorSpec = Picard()
         elif self.eat("ADD("):
-            left = self.spec()
+            left = self.spec(level + 1)
             self.expect(",")
-            right = self.spec()
+            right = self.spec(level + 1)
             weights = ()
             if self.eat(","):
                 w_left = self.match(_FLOAT_RE, "weight", float)
@@ -194,7 +199,7 @@ class _SpecParser:
                 self.fail("expected 'picard', 'AA(', 'AAoptD(' or 'ADD('")
             node = AA(self.match(_INT_RE, "window size", int), policy)
             if self.eat(","):
-                node = Multiplicative(node, self.spec())
+                node = Multiplicative(node, self.spec(level + 1))
             self.expect(")")
         # Suffixes bind to the node just closed, each at most once.
         seen = set()

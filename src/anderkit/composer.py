@@ -6,17 +6,20 @@ iterate history, or a Multiplicative chain where each outer Anderson step
 hands its result to a freshly started inner accelerator for iter_n steps.
 
 Each spec node steps itself: step(window, g) reads the newest `depth` slots
-of the shared window, and `memory` is the peak history slots live while it
-steps (its depth plus the largest window it opens for one step). A step
-returns one flat record holding the next iterate and the fields of its trace
-row. `_advance` is the only place that evaluates g on a produced iterate,
-checks that the image is finite and pushes the pair onto a window.
+of the shared window, and `memory` is an upper bound on the history slots
+live while it steps (its depth plus the largest window it opens for one
+step). A step returns one flat record holding the next iterate and the
+fields of its trace row. `_advance` is the only place that evaluates g on a
+produced iterate, checks that the image is finite and pushes the pair onto
+a window.
 
 Each node also describes itself: `label` is its canonical grammar string,
 `iter_scale` the sub-steps one step counts for in paper-style iteration
 plots, and `cost_per_step` the g evaluations one run() step spends on it.
 That cost is built from `step_evals`, the evaluations made inside step():
-a node that hands back no image leaves one more to the caller.
+a node that hands back no image leaves one more to the caller. These five
+numbers are set once, when a node is built, from its fields and its
+children's numbers, so reading one never walks the tree.
 
 run() records the seed as step 0, a step whose outcome is x0 itself, and
 evaluates and records every step the same way. After each row the first
@@ -60,6 +63,12 @@ def _check_size(name: str, value, least: int = 0) -> None:
         raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
+def _account(node, **values) -> None:
+    """Set node's accounting attributes; they are not fields, so ==, repr and hash ignore them."""
+    for name, value in values.items():
+        object.__setattr__(node, name, value)
+
+
 @dataclass(frozen=True)
 class Picard:
     """Plain fixed-point iteration x <- g(x)."""
@@ -79,23 +88,13 @@ class AA:
     m: int
     damping: DampingPolicy = field(default_factory=DampingPolicy.none)
 
-    def __post_init__(self):
-        _check_size("window size", self.m)
-
-    @property
-    def depth(self) -> int:
-        return self.m + 1
-
-    memory = depth
     iter_scale = 1
 
-    @property
-    def step_evals(self) -> int:
-        return 2 if self.damping.kind == "optimized" else 0
-
-    @property
-    def cost_per_step(self) -> int:
-        return self.step_evals + 1
+    def __post_init__(self):
+        _check_size("window size", self.m)
+        step_evals = 2 if self.damping.kind == "optimized" else 0
+        _account(self, depth=self.m + 1, memory=self.m + 1, step_evals=step_evals,
+                 cost_per_step=step_evals + 1)
 
     @property
     def label(self) -> str:
@@ -135,34 +134,22 @@ class Additive:
     w_left: float = 0.5
     w_right: float = 0.5
 
+    iter_scale = 2
+
     def __post_init__(self):
         # Written so that NaN weights (or inf - inf) fail the check too.
         if not abs(self.w_left + self.w_right - 1.0) <= 1e-12:
             raise ValueError(
                 f"weights must sum to 1, got {self.w_left} + {self.w_right}"
             )
-
-    @property
-    def depth(self) -> int:
-        return max(self.left.depth, self.right.depth)
-
-    @property
-    def memory(self) -> int:
+        depth = max(self.left.depth, self.right.depth)
+        step_evals = self.left.step_evals + self.right.step_evals
         # The branches step in turn, so only the larger of their transient
-        # windows is live on top of the shared one.
-        return self.depth + max(b.memory - b.depth for b in (self.left, self.right))
-
-    iter_scale = 2
-
-    @property
-    def step_evals(self) -> int:
-        return self.left.step_evals + self.right.step_evals
-
-    @property
-    def cost_per_step(self) -> int:
-        # The blend hands back no image (a multiplicative branch's is dropped),
-        # so run() evaluates it.
-        return self.step_evals + 1
+        # windows is live on top of the shared one. The blend hands back no
+        # image (a multiplicative branch's is dropped), so run() evaluates it.
+        _account(self, depth=depth,
+                 memory=depth + max(b.memory - b.depth for b in (self.left, self.right)),
+                 step_evals=step_evals, cost_per_step=step_evals + 1)
 
     @property
     def label(self) -> str:
@@ -197,30 +184,14 @@ class Multiplicative:
         if not isinstance(self.outer, AA):
             raise ValueError("multiplicative composition needs a windowed outer accelerator")
         _check_size("iter_n", self.iter_n)
-
-    @property
-    def depth(self) -> int:
-        return self.outer.depth
-
-    @property
-    def memory(self) -> int:
-        return self.outer.depth + self.inner.memory
-
-    @property
-    def iter_scale(self) -> int:
-        return 1 + self.iter_n
-
-    @property
-    def step_evals(self) -> int:
-        if self.iter_n == 0:
-            return self.outer.step_evals
-        # g at the outer result, then iter_n inner steps that each end evaluated.
-        return self.outer.step_evals + 1 + self.iter_n * self.inner.cost_per_step
-
-    @property
-    def cost_per_step(self) -> int:
+        step_evals = self.outer.step_evals
+        if self.iter_n > 0:
+            # g at the outer result, then iter_n inner steps that each end evaluated.
+            step_evals += 1 + self.iter_n * self.inner.cost_per_step
         # With iter_n > 0 the step hands back its image; otherwise run() evaluates it.
-        return self.step_evals + (self.iter_n == 0)
+        _account(self, depth=self.outer.depth, memory=self.outer.depth + self.inner.memory,
+                 iter_scale=1 + self.iter_n, step_evals=step_evals,
+                 cost_per_step=step_evals + (self.iter_n == 0))
 
     @property
     def label(self) -> str:
@@ -330,8 +301,6 @@ def run(
         raise TypeError(f"not an accelerator spec: {spec!r}")
     g = CountingMap(problem.g)
     window = HistoryWindow(spec.depth, meter)
-    # Read once: the property recurses through the spec tree.
-    cost = spec.cost_per_step
     start = time.perf_counter_ns()
     rows: list[TraceRow] = []
     termination: Termination | None = None
@@ -364,7 +333,7 @@ def run(
             termination = Termination.DIVERGED
         elif k >= config.max_iters:
             termination = Termination.MAX_ITERS
-        elif g.calls + cost > config.max_fevals:
+        elif g.calls + spec.cost_per_step > config.max_fevals:
             termination = Termination.MAX_FEVALS
         k += 1
 

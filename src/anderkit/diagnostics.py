@@ -92,12 +92,15 @@ def contraction_audit(
     checks the two-stage bound ||f_{k+1}|| <= inner_theta * theta * kappa^2
     * ||f_k|| + tol on steps that also carry the inner mixing gain. Steps
     without the needed fields are skipped; a trace with none yields a
-    skipped report with a notice.
+    skipped report with a notice. kappa must lie in (0, 1) and tol in
+    [0, inf).
     """
     if kind not in ("damped", "composite"):
         raise ValueError(f"unknown audit kind {kind!r}")
     if not 0.0 < kappa < 1.0:
         raise ValueError(f"kappa must lie in (0, 1), got {kappa}")
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
     report = AuditReport(kind=kind, kappa=kappa, tol=tol)
     for prev, row in zip(trace.rows, trace.rows[1:]):
         if row.theta is None:

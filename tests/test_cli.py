@@ -143,6 +143,10 @@ def test_parse_error_carries_position():
         with pytest.raises(SpecParseError, match=f"column {pos + 1}: Exceeds") as err:
             parse_spec(text)
         assert err.value.pos == pos
+    # nesting past 100 levels is reported at the first SPEC below the limit
+    too_deep = "AA(1," * 101 + "AA(1)" + ")" * 101
+    with pytest.raises(SpecParseError, match="column 506: solver nests more than 100 levels"):
+        parse_spec(too_deep)
 
 
 # ---- rendering ----
@@ -165,6 +169,8 @@ def test_parse_error_carries_position():
         "ADD(AA(20),AA(1))",
         "ADD(picard,AA(1),0.25,0.75)",
         "ADD(AA(2,AA(1)),AAoptD(1))",
+        # the deepest nesting the grammar allows
+        pytest.param("AA(1," * 100 + "AA(1)" + ")" * 100, id="AA(1,...)-100-levels"),
     ],
 )
 def test_render_round_trip(text):
@@ -584,6 +590,14 @@ def test_main_exit_codes(tmp_path, capsys):
                  "--out", str(tmp_path / "dup")]) == 1
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "dup").exists()
+    # a solver nested far past the limit is a config error, not a RecursionError
+    deep = "ADD(picard," * 2000 + "picard" + ")" * 2000
+    assert main(["run", "--problem", "tridiag", "--param", "n=10", "--solver", deep,
+                 "--out", str(tmp_path / "deep")]) == 1
+    assert "anderkit: config error: column 1105: solver nests more than 100 levels" in (
+        capsys.readouterr().err
+    )
+    assert not (tmp_path / "deep").exists()
     # malformed problem parameter exits 1
     assert main(["run", "--problem", "tridiag", "--param", "bogus"]) == 1
     capsys.readouterr()

@@ -186,6 +186,23 @@ def test_cost_per_step_and_the_hard_evaluation_budget(text, cost):
     assert trace.fevals == 1 + cost * trace.iters
 
 
+def test_deep_specs_built_in_code_account_and_run():
+    # Each node's accounting is set when it is built, so reading it does not recurse.
+    additive = Picard()
+    for _ in range(400):
+        additive = Additive(Picard(), additive)
+    multiplicative = Picard()
+    for _ in range(600):
+        multiplicative = Multiplicative(AA(1), multiplicative)
+    p = tridiag_problem(10)
+    for spec, accounting in ((additive, (1, 1, 2, 0, 1)), (multiplicative, (2, 1201, 2, 601, 601))):
+        got = (spec.depth, spec.memory, spec.iter_scale, spec.step_evals, spec.cost_per_step)
+        assert got == accounting
+        trace = run(spec, p, p.default_start, RunConfig(tol=1e-300, max_iters=2))
+        assert trace.iters == 2
+        assert trace.fevals == 1 + trace.iters * spec.cost_per_step
+
+
 def test_feval_column_is_cumulative_and_monotone():
     p = affine_problem(seed=6)
     cfg = RunConfig(tol=1e-300, max_iters=8)

@@ -1,5 +1,7 @@
 """Traces, audits, memory formulas, csv persistence."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -116,6 +118,11 @@ def test_audit_rejects_bad_arguments():
         contraction_audit(trace, kappa=1.5, kind="damped")
     with pytest.raises(ValueError):
         contraction_audit(trace, kappa=0.5, kind="sideways")
+    # a NaN or infinite tol would pass any trace, a negative one tightens the bound
+    for tol in (math.nan, math.inf, -1e-8):
+        for kind in ("damped", "composite"):
+            with pytest.raises(ValueError, match="tol"):
+                contraction_audit(trace, kappa=0.5, kind=kind, tol=tol)
 
 
 # ---- csv persistence ----
