@@ -298,6 +298,13 @@ class ExperimentConfig:
         repeated = sorted({label for label in labels if labels.count(label) > 1})
         if repeated:
             raise ValueError(f"solvers repeat the labels {repeated}; each label names one CSV")
+        for label in labels:
+            # 255 bytes is the file-name limit of common file systems (NAME_MAX).
+            size = len(f"{label}.csv".encode("utf-8"))
+            if size > 255:
+                raise ValueError(
+                    f"solver label {label!r} names a {size}-byte CSV file; file names hold 255 bytes"
+                )
 
 
 def _object_section(raw: dict, key: str) -> dict:

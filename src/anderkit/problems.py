@@ -131,9 +131,15 @@ def bratu_problem(n_side: int, lam: float = 6.0) -> FixedPointProblem:
     def g(u):
         u = np.asarray(u, dtype=float)
         lap = _interior(_laplacian(*_stencil_views(u, n_side)), n_side)
+        # u + (lam h^2 e^u - lap) / 4 in one buffer; * 0.25 is / 4 exactly.
         with np.errstate(over="ignore", invalid="ignore"):
-            source = lam * h2 * np.exp(u.reshape(n_side, n_side))
-        return u + (source - lap).ravel() / 4.0
+            step = np.exp(u.reshape(n_side, n_side))
+            step *= lam * h2
+        step -= lap
+        step *= 0.25
+        step = step.ravel()
+        step += u
+        return step
 
     return FixedPointProblem(
         n=n,
@@ -171,13 +177,29 @@ def convdiff_problem(
         u = np.asarray(u, dtype=float)
         centre, east, west, north, south = _stencil_views(u, n_side)
         lap = _laplacian(centre, east, west, north, south)
+        # u + (rhs - (eps lap + conv + react h^2 u^2)) / diag, in place, with
+        # the operands and the order of that expression.
         if scheme == "centered":
-            conv = 0.5 * h * (east - west + north - south)
+            conv = east - west
+            conv += north
+            conv -= south
+            conv *= 0.5 * h
         else:
-            conv = h * (2.0 * centre - west - south)
+            conv = 2.0 * centre
+            conv -= west
+            conv -= south
+            conv *= h
         with np.errstate(over="ignore", invalid="ignore"):
-            resid = rhs - _interior(eps * lap + conv + react * h2 * centre * centre, n_side)
-        return u + resid.ravel() / diag
+            lap *= eps
+            lap += conv
+            quad = centre * (react * h2)
+            quad *= centre
+            lap += quad
+            resid = rhs - _interior(lap, n_side)
+        resid = resid.ravel()
+        resid /= diag
+        resid += u
+        return resid
 
     return FixedPointProblem(
         n=n,

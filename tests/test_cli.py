@@ -577,6 +577,21 @@ def test_main_exits_3_when_a_solver_fails_and_runs_the_rest(tmp_path, capsys, mo
     assert len(read_trace_rows(out / "AA(2).csv")) == 2
 
 
+def test_a_label_too_long_for_a_file_name_is_a_config_error(tmp_path, capsys):
+    # 21 levels name a 262-byte CSV, which no common file system holds: exit 1
+    # before any solve. 20 levels name a 250-byte one, which runs.
+    argv = ["run", "--problem", "tridiag", "--param", "n=10", "--max-iters", "5", "--solver"]
+    too_long = "ADD(picard," * 21 + "picard" + ")" * 21
+    assert main([*argv, too_long, "--out", str(tmp_path / "long")]) == 1
+    err = capsys.readouterr().err
+    assert "anderkit: config error:" in err and "262-byte" in err
+    assert not (tmp_path / "long").exists()
+    longest = "ADD(picard," * 20 + "picard" + ")" * 20
+    assert main([*argv, longest, "--out", str(tmp_path / "longest")]) == 0
+    assert (tmp_path / "longest" / f"{longest}.csv").exists()
+    assert (tmp_path / "longest" / "summary.csv").exists()
+
+
 def test_main_exit_codes(tmp_path, capsys):
     # usage problems exit 1
     assert main(["frobnicate"]) == 1

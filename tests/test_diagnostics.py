@@ -1,5 +1,6 @@
 """Traces, audits, memory formulas, csv persistence."""
 
+import csv
 import math
 
 import numpy as np
@@ -159,6 +160,55 @@ def test_trace_csv_iter_scale(tmp_path):
     assert [r.k for r in rows] == [0, 2, 4, 6, 8, 10]
     # residuals unscaled
     assert [r.res_norm for r in rows] == [r.res_norm for r in trace.rows]
+
+
+def _csv_writer_trace(trace, path, iter_scale):
+    # The csv.writer loop that write_trace_csv replaced, kept as the reference.
+    def fmt(value):
+        return "" if value is None else f"{value:.17g}"
+
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(TRACE_COLUMNS)
+        for row in trace.rows:
+            writer.writerow(
+                [
+                    str(row.k * iter_scale),
+                    str(row.fevals),
+                    fmt(row.res_norm),
+                    fmt(row.beta),
+                    fmt(row.theta),
+                    fmt(row.alpha_abs_sum),
+                    str(row.wall_ns),
+                ]
+            )
+
+
+def test_trace_csv_bytes_equal_the_csv_writer_output(tmp_path):
+    inf, nan = math.inf, math.nan
+    rows = [
+        TraceRow(k=0, fevals=1, res_norm=1.0),
+        TraceRow(1, 2, 0.0, -0.0, 0.0, -0.0, 0),
+        TraceRow(2, 3, inf, -inf, nan, 5e-324, 2**63 - 1),
+        TraceRow(3, 5, -5e-324, None, 1e300, None, 10**20),
+        TraceRow(40, 81, 0.1, 1.0 / 3.0, -2.5e-308, 123456789.125, 987654321),
+        TraceRow(41, 82, nan, None, None, None, 7),
+    ]
+    trace = ConvergenceTrace(rows, Termination.MAX_ITERS, fevals=82)
+
+    def key(row):
+        # repr tells -0.0 from 0.0 and lets NaN equal NaN
+        fields = ("fevals", "res_norm", "beta", "theta", "alpha_abs_sum", "wall_ns")
+        return tuple(repr(getattr(row, name)) for name in fields)
+
+    for scale in (1, 3):
+        got, want = tmp_path / f"got{scale}.csv", tmp_path / f"want{scale}.csv"
+        write_trace_csv(trace, got, iter_scale=scale)
+        _csv_writer_trace(trace, want, scale)
+        assert got.read_bytes() == want.read_bytes()
+        back = read_trace_rows(got)
+        assert [r.k for r in back] == [r.k * scale for r in rows]
+        assert [key(r) for r in back] == [key(r) for r in rows]
 
 
 def test_read_trace_rejects_wrong_header(tmp_path):

@@ -1,10 +1,13 @@
 """Kernel primitives: reductions and the pivoted least-squares solve."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
 
-from anderkit.kernel import RANK_TOL, dot, least_squares, norm2, ordered_sum
+from anderkit.kernel import _SEQUENTIAL_MIN, RANK_TOL, dot, least_squares, norm2, ordered_sum
 
 
 def test_dot_matches_numpy_on_random_vectors():
@@ -36,6 +39,63 @@ def test_norm2_and_ordered_sum_are_exact_left_to_right_accumulations():
         sq += vi * vi
     assert ordered_sum(v) == acc
     assert norm2(v) == float(np.sqrt(sq))
+
+
+def _left_to_right(terms):
+    acc = terms[0]
+    for x in terms[1:]:
+        acc += x
+    return acc
+
+
+def test_reductions_are_bitwise_left_to_right_on_both_sides_of_the_crossover():
+    # add.accumulate runs below _SEQUENTIAL_MIN terms and subtract.reduce from
+    # it on; both must equal a Python loop in value and in the sign of zero.
+    # A NaN result only has to be NaN: IEEE leaves its sign unspecified.
+    t = _SEQUENTIAL_MIN
+    rng = np.random.default_rng(31)
+    specials = [0.0, -0.0, 5e-324, np.inf, -np.inf, np.nan, 1e200, -1e200]
+
+    def same(got, want):
+        if math.isnan(want):
+            return math.isnan(got)
+        return got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+    def scaled(n):
+        return rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n)
+
+    def pairs(n):
+        yield scaled(n), scaled(n)
+        yield scaled(n), scaled(n)
+        yield np.full(n, -0.0), np.ones(n)  # every product is -0.0
+        yield rng.choice([0.0, -0.0], n), scaled(n)
+        yield np.full(n, 1e200), scaled(n)  # every square overflows
+        for _ in range(3):
+            v, w = scaled(n), scaled(n)
+            for x in (v, w):
+                at = rng.integers(0, n, int(rng.integers(1, 4)))
+                x[at] = rng.choice(specials, len(at))
+            yield v, w
+
+    pairwise_differs = False
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n in (1, 2, t - 1, t, t + 1, 4096, 20000):
+            for v, w in pairs(n):
+                terms = v.tolist()
+                want_sum = _left_to_right(terms)
+                want_dot = _left_to_right([x * y for x, y in zip(terms, w.tolist())])
+                want_norm = math.sqrt(_left_to_right([x * x for x in terms]))
+                # ordered_sum signals inf - inf as add.accumulate does;
+                # dot and norm2 are silent.
+                with np.errstate(invalid="ignore"):
+                    assert same(ordered_sum(v), want_sum), (n, want_sum)
+                assert same(dot(v, w), want_dot), (n, want_dot)
+                assert same(norm2(v), want_norm), (n, want_norm)
+                if n == 4096 and math.isfinite(want_sum):
+                    pairwise_differs |= float(np.add.reduce(v)) != want_sum
+    # a pairwise sum would fail the assertions above
+    assert pairwise_differs
 
 
 def test_reductions_of_empty_vectors_are_zero():
