@@ -22,9 +22,12 @@ within RANK_TOL of the span of the older ones (a repeated iterate, an
 exact dependency, any column past the n-th) is an exact zero column of Q
 with a zero row in R; qr_delete's Givens rotations pass such a column by
 an identity or a swap, so QR = dF holds through every eviction. Every mix,
-full window or tail, is one pivoted solve on R's columns and Q^T f_k, which
-is computed once per push and shared with the tails. A tail is a read-only
-view of the same buffers, valid until the window's next push.
+full window or tail, is one least_squares call on R's columns and Q^T f_k,
+which is computed once per push and shared with the tails. A whole
+window's R is square and is solved as the triangle it is when its diagonal
+passes the rank test; a tail's block of R's newest columns, or an R with a
+zero or tiny diagonal entry, takes the pivoted solve. A tail is a
+read-only view of the same buffers, valid until the window's next push.
 
 scipy is loaded only by windows that can need it. A window of capacity 3
 or more imports scipy.linalg when it is built: only such a window
@@ -51,6 +54,10 @@ from .kernel import RANK_TOL, dot, least_squares, norm2, ordered_sum
 # Relative threshold below which the damping direction r_p - r_q is treated
 # as degenerate and the undamped step is taken.
 _DEGENERATE_RTOL = 1e-14
+
+# A Gram-Schmidt pass that leaves ||v|| below this fraction of ||u|| is
+# repeated (Daniel, Gragg, Kaufman & Stewart, 1976).
+_REORTHOGONALIZE_BELOW = 1.0 / math.sqrt(2.0)
 
 
 class DivergedError(RuntimeError):
@@ -93,26 +100,33 @@ def _norm(v: np.ndarray) -> float:
 def _qr_append(q: np.ndarray, r: np.ndarray, k: int, u: np.ndarray) -> None:
     """Extend the thin QR in q[:, :k], r[:k, :k] by the column u, in place.
 
-    Classical Gram-Schmidt with one reorthogonalization pass; the new
-    column goes to q[:, k] and r[:k + 1, k]. A column within RANK_TOL of
+    Classical Gram-Schmidt, with a second pass only where the first left
+    ||v|| < ||u|| / sqrt(2) (the DGKS criterion); the new column goes to
+    q[:, k] and r[:k + 1, k]. A column within RANK_TOL of
     the span of the first k (zero, dependent, or past the n-th) gets an
     exact zero q[:, k] and r[k, k] = 0. A column with NaN or inf entries is
     stored as it is, so the next solve on r raises.
     """
+    u_norm = _norm(u)
     if k:
         qk = q[:, :k]
         c = qk.T @ u
         v = u - qk @ c
-        c2 = qk.T @ v
-        v -= qk @ c2
-        r[:k, k] = c + c2
+        rho = _norm(v)
+        # Norms, not their squares, so that neither side can overflow.
+        if rho < _REORTHOGONALIZE_BELOW * u_norm:
+            c2 = qk.T @ v
+            v -= qk @ c2
+            c += c2
+            rho = _norm(v)
+        r[:k, k] = c
         r[k, :k] = 0.0
     else:
         # Projecting onto an empty basis subtracts exact zeros: v is u.
         v = u
-    rho = _norm(v)
-    # With k = 0, v is u, so ||u|| is rho itself. A NaN fails the test.
-    if rho <= RANK_TOL * (_norm(u) if k else rho):
+        rho = u_norm
+    # A NaN fails the test.
+    if rho <= RANK_TOL * u_norm:
         q[:, k] = 0.0
         r[k, k] = 0.0
     else:
@@ -212,8 +226,8 @@ class HistoryWindow:
         if evict:
             self._head = (self._head + 1) % slots
         row = (self._head + p - 1) % slots
-        np.subtract(entry.x, prev.x, out=self._dx[row])
-        self._dx[row + slots] = self._dx[row]
+        # Both copies of the ring row, rows row and row + slots, in one write.
+        np.subtract(entry.x, prev.x, out=self._dx[row::slots])
         # A one-column factor is not downdated: the append overwrites it.
         if evict and p > 1:
             import scipy.linalg
@@ -358,9 +372,11 @@ def solve_mixing_coefficients(window: HistoryWindow) -> MixingResult:
     With dF = QR, ||f_k - dF gamma||_2 and ||Q^T f_k - R gamma||_2 differ
     only by the part of f_k outside Q's range, so gamma is least_squares
     on the window's R columns and Q^T f_k, and the mixed residual
-    f_k - dF gamma is f_k - Q (R gamma). The pivoted solve gives columns
-    below RANK_TOL zero weight, so a degenerate window prefers the newest
-    iterate. alpha = diff([0, gamma, 1]) sums to one by construction.
+    f_k - dF gamma is f_k - Q (R gamma). A whole window's square R goes as
+    a triangle, solved directly when its diagonal passes the rank test;
+    otherwise the pivoted solve gives columns below RANK_TOL zero weight,
+    so a degenerate window prefers the newest iterate.
+    alpha = diff([0, gamma, 1]) sums to one by construction.
     """
     if not len(window):
         raise ValueError("cannot mix an empty window")
@@ -370,11 +386,13 @@ def solve_mixing_coefficients(window: HistoryWindow) -> MixingResult:
             alpha=np.array([1.0]), x_avg=newest.x, gx_avg=newest.gx, mixed_norm=newest.f_norm
         )
     q, r = window.factor
-    gamma = least_squares(r, window.qtf())
-    x_avg = newest.x - gamma @ window.differences()
+    gamma = least_squares(r, window.qtf(), triangular=True)
+    x_avg = gamma @ window.differences()
+    np.subtract(newest.x, x_avg, out=x_avg)
     # np.dot, not @: on a depth-1 window's n x 1 Fortran view of Q, @ costs
     # about twice as much for the same bits.
-    mixed = newest.f - np.dot(q, np.dot(r, gamma))
+    mixed = np.dot(q, np.dot(r, gamma))
+    np.subtract(newest.f, mixed, out=mixed)
     # alpha = diff([0, gamma, 1])
     alpha = np.concatenate((gamma, (1.0,)))
     alpha[1:] -= gamma

@@ -10,25 +10,40 @@ element. IEEE arithmetic defines x - y as x + (-y) and rounds -(a * b) and
 (-a) * b alike, so both paths give the same bits, sign of zero included.
 Only the sign of a NaN result may differ, which IEEE leaves unspecified.
 
-least_squares is the pivoted-QR solve that decides the numerical rank of
-every mixing problem; the mixing solve hands it the columns of the
-triangular factor kept by the history window (all of them, or a tail's
-newest ones) and Q^T f_k. A difference column that the factor found
-dependent is an exact zero column of Q with a zero row of R, so rank
-deficiency reaches least_squares as zero rows.
+least_squares solves every mixing problem; the mixing solve hands it the
+columns of the triangular factor kept by the history window (all of them,
+or a tail's newest ones) and Q^T f_k. A difference column that the factor
+found dependent is an exact zero column of Q with a zero row of R, so rank
+deficiency reaches least_squares as zero rows. By default it runs a
+pivoted-QR solve that decides the numerical rank. A caller that hands it
+a triangle it already factored passes triangular=True: a square, upper
+triangular, full-rank matrix (every |r_ii| >= RANK_TOL * max |r_ii| > 0)
+then takes one dtrtrs, with the bits of
+scipy.linalg.solve_triangular(np.asfortranarray(R), b). Anything else
+(a zero or tiny diagonal entry, a nonzero entry below the diagonal, a
+non-square block) takes the pivoted solve, whose rank test the diagonal
+of an updated factor cannot replace: a zero column rotated ahead of a live
+one leaves a rank-1 R = [[0, 1], [0, 0]] with a zero diagonal. The 1 x 1
+closed form below runs on both paths. The flag is a keyword, not a check
+made on every input, because the two paths round differently on the same
+triangle and general callers keep the pivoted bits.
 
 least_squares calls LAPACK directly: dgeqp3 for the pivoted QR, dorgqr
 for Q and dtrtrs for the triangle, the same routines scipy.linalg.qr and
-solve_triangular run, without their per-call wrapper work. dtrtrs gets
-R^T with lower=1, trans=1, which is what solve_triangular passes for the
-C-ordered triangle it is given; a plain upper solve on R rounds
-differently. dgeqp3 and dorgqr get the wrappers' default workspaces: up
-to 128 columns, LAPACK's blocking crossover, both run unblocked whatever
-the workspace, with the bits of the optimal one scipy.linalg.qr queries.
+solve_triangular run, without their per-call wrapper work. On the pivoted
+path dtrtrs gets R^T with lower=1, trans=1, which is what solve_triangular
+passes for the C-ordered triangle it is given; a plain upper solve on R
+rounds differently. On the triangular path it gets the Fortran-ordered
+copy with lower=0, trans=0, which is what solve_triangular passes for a
+Fortran-ordered triangle. dgeqp3 and dorgqr get the wrappers' default
+workspaces: up to 128 columns, LAPACK's blocking crossover, both run
+unblocked whatever the workspace, with the bits of the optimal one
+scipy.linalg.qr queries.
 A wider block (AA(129) or deeper) misses the blocked path, so it is slower
 and may round differently. The finiteness check that check_finite made is
 kept: a non-finite matrix, or a non-finite Q^T rhs (which a non-finite rhs
-gives), raises ValueError.
+gives), raises ValueError, and so does a non-finite rhs on the triangular
+path.
 
 A 1 x 1 system, which every depth-1 window hands over, skips the LAPACK
 calls and does their arithmetic in closed form, bit for bit. dgeqp3
@@ -47,6 +62,7 @@ under a microsecond.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -128,12 +144,14 @@ def _check_info(info: int, routine: str) -> None:
         raise np.linalg.LinAlgError(f"{routine} returned info={info}")
 
 
-def least_squares(matrix, rhs) -> np.ndarray:
+def least_squares(matrix, rhs, triangular: bool = False) -> np.ndarray:
     """Minimize ||rhs - matrix @ w||_2 via QR with column pivoting.
 
     Columns pivoted out by the rank tolerance get coefficient zero, so a
     rank-deficient system returns the basic solution supported on the
     dominant columns (an all-zero matrix yields all-zero coefficients).
+    With triangular=True a full-rank square upper triangle is solved
+    directly instead; see the module docstring.
     """
     # A Fortran-ordered copy, which dgeqp3 factors in place.
     a = np.array(matrix, dtype=float, order="F")
@@ -161,10 +179,17 @@ def least_squares(matrix, rhs) -> np.ndarray:
 
     from scipy.linalg import lapack
 
+    if triangular and n == p and _is_full_rank_triangle(a):
+        if not np.isfinite(b).all():
+            raise ValueError("rhs must not contain infs or NaNs")
+        w, info = lapack.dtrtrs(a, b, lower=0, trans=0)
+        _check_info(info, "dtrtrs")
+        return w
+
     qr, piv, tau, _, info = lapack.dgeqp3(a, overwrite_a=1)
     _check_info(info, "dgeqp3")
-    # R is the upper triangle of qr[:p]; dtrtrs and diag read nothing else.
-    diag = np.abs(np.diag(qr))
+    # R is the upper triangle of qr[:p]; dtrtrs and diagonal read nothing else.
+    diag = np.abs(qr.diagonal())
     if diag[0] == 0.0:
         return np.zeros(p)
     rank = int(np.count_nonzero(diag >= RANK_TOL * diag[0]))
@@ -181,3 +206,23 @@ def least_squares(matrix, rhs) -> np.ndarray:
     # dgeqp3 numbers the pivot columns from 1.
     w[piv[:rank] - 1] = z
     return w
+
+
+@functools.lru_cache(maxsize=16)
+def _strictly_lower(p: int) -> np.ndarray:
+    """Read-only 0/1 mask of a p x p matrix's strictly lower part, Fortran-ordered."""
+    # np.tri costs more than the test it masks, so each size is built once.
+    # A float mask in least_squares' Fortran order multiplies without a cast.
+    mask = np.asfortranarray(np.tri(p, p, -1))
+    mask.flags.writeable = False
+    return mask
+
+
+def _is_full_rank_triangle(a: np.ndarray) -> bool:
+    """Whether the finite square a is upper triangular with every |a_ii| >= RANK_TOL * max > 0."""
+    # a is finite, so its product with the mask is nonzero only where a is.
+    if np.count_nonzero(a * _strictly_lower(a.shape[0])):
+        return False
+    diag = np.abs(a.diagonal()).tolist()
+    top = max(diag)
+    return top > 0.0 and min(diag) >= RANK_TOL * top

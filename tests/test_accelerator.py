@@ -645,6 +645,52 @@ def test_qr_append_onto_an_empty_basis_refuses_what_it_cannot_factor():
         assert q[0, 0] == want_q and r[0, 0] == want_r
 
 
+def _gram_schmidt(qk, u, passes):
+    """(r[:k, k], q[:, k], rho) of classical Gram-Schmidt with 1 or 2 passes."""
+    c = qk.T @ u
+    v = u - qk @ c
+    if passes == 2:
+        c2 = qk.T @ v
+        v -= qk @ c2
+        c = c + c2
+    rho = np.sqrt(v @ v)
+    return c, v / rho, rho
+
+
+def _orthonormal_basis_and_a_column(rng, n, k, outside):
+    """Q with k orthonormal columns, and a unit u whose part outside them has norm `outside`."""
+    q = np.zeros((n, k + 1), order="F")
+    q[:, :k] = np.linalg.qr(rng.standard_normal((n, k)))[0]
+    qk = q[:, :k]
+    inside = qk @ rng.standard_normal(k)
+    away = rng.standard_normal(n)
+    away -= qk @ (qk.T @ away)
+    away -= qk @ (qk.T @ away)
+    u = np.sqrt(1.0 - outside**2) * inside / np.sqrt(inside @ inside)
+    u += outside * away / np.sqrt(away @ away)
+    return q, u
+
+
+def test_qr_append_reorthogonalizes_only_below_the_dgks_threshold():
+    # One pass leaves v = u - Q Q^T u; a second runs only where
+    # ||v|| < ||u|| / sqrt(2) (Daniel, Gragg, Kaufman & Stewart, 1976).
+    rng = np.random.default_rng(205)
+    n = 40
+    for k in (1, 3, 10, 25):
+        for outside, passes in ((0.95, 1), (0.72, 1), (0.70, 2), (0.3, 2), (1e-6, 2)):
+            q, u = _orthonormal_basis_and_a_column(rng, n, k, outside)
+            r = np.full((k + 1, k + 1), 7.0)
+            want = _gram_schmidt(q[:, :k], u, passes)
+            other = _gram_schmidt(q[:, :k], u, 3 - passes)
+            # the two pass counts round differently here, so the bits tell them apart
+            assert not np.array_equal(want[0], other[0]) or not np.array_equal(want[1], other[1])
+            _qr_append(q, r, k, u)
+            case = (k, outside)
+            assert np.array_equal(r[:k, k], want[0]), case
+            assert np.array_equal(q[:, k], want[1]), case
+            assert r[k, k] == want[2] and not r[k, :k].any(), case
+
+
 def test_differences_whose_norm_overflows_mix_as_the_stacked_reference():
     # ||df|| near 1e154 overflows v @ v; the column is scaled, not zeroed
     rng = np.random.default_rng(3)

@@ -562,7 +562,7 @@ def test_main_switching_problem_kind_drops_file_params(tmp_path, capsys):
 
 
 def test_main_exits_3_when_a_solver_fails_and_runs_the_rest(tmp_path, capsys, monkeypatch):
-    def singular(matrix, rhs):
+    def singular(matrix, rhs, **_):
         raise np.linalg.LinAlgError("singular")
 
     monkeypatch.setattr(accelerator, "least_squares", singular)

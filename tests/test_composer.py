@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from anderkit import accelerator
 from anderkit.accelerator import DampingPolicy, WindowMeter
@@ -377,8 +378,40 @@ def test_a_raising_map_ends_the_run_as_failed_and_keeps_the_rows():
     assert run(AA(2), base, base.default_start).error is None
 
 
+def test_whole_windows_solve_their_triangle_and_tails_their_block(monkeypatch):
+    # Every mix asks for the triangular path. A whole window's R is square
+    # and, full rank here, is solved as the triangle it is; ADD's AA(1)
+    # branch reads a tail of the shared window, whose p x 1 block of R's
+    # newest column is not square and takes the pivoted solve.
+    calls = []
+    real = accelerator.least_squares
+
+    def spy(matrix, rhs, **kwargs):
+        w = real(matrix, rhs, **kwargs)
+        calls.append((matrix.shape, kwargs, w, matrix.copy(), rhs.copy()))
+        return w
+
+    monkeypatch.setattr(accelerator, "least_squares", spy)
+    problem = tridiag_problem(30)
+    for spec, tails in ((AA(3), False), (Additive(AA(3), AA(1)), True)):
+        calls.clear()
+        trace = run(spec, problem, problem.default_start, RunConfig(tol=1e-300, max_iters=10))
+        assert trace.iters == 10
+        assert all(kwargs == {"triangular": True} for _, kwargs, *_ in calls), spec
+        shapes = [shape for shape, *_ in calls]
+        assert shapes.count((3, 3)) >= 6, spec
+        assert ((3, 1) in shapes) == tails and ((2, 1) in shapes) == tails, spec
+        assert all(p == q or q == 1 for p, q in shapes), spec
+        for (p, q), _, w, mat, rhs in calls:
+            if p == q > 1:
+                want = scipy.linalg.solve_triangular(np.asfortranarray(mat), rhs)
+                assert np.array_equal(w, want), spec
+            elif q < p:
+                assert np.array_equal(w, real(mat, rhs)), spec
+
+
 def test_a_kernel_error_ends_the_run_as_failed(monkeypatch):
-    def singular(matrix, rhs):
+    def singular(matrix, rhs, **_):
         raise np.linalg.LinAlgError("singular")
 
     # solve_mixing_coefficients looks least_squares up in its own module.

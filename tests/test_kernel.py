@@ -306,3 +306,91 @@ def test_least_squares_one_by_one_keeps_the_error_contract(bad):
     for a in (1.0, -2.5, 5e-324):
         with pytest.raises(ValueError, match="rhs"):
             least_squares(np.array([[a]]), np.array([bad]))
+
+
+# ---- the triangular path ----
+
+
+def _full_rank_triangles():
+    rng = np.random.default_rng(41)
+    for _ in range(40):
+        p = int(rng.integers(2, 21))
+        # R of a well-conditioned tall block: every |r_ii| is far above RANK_TOL
+        tri = np.linalg.qr(rng.standard_normal((p + 10, p)))[1]
+        rhs = rng.standard_normal(p) * 10.0 ** rng.integers(-3, 4)
+        yield np.ascontiguousarray(tri), rhs
+        yield np.asfortranarray(tri), rhs
+        buf = np.zeros((p + 3, p + 3), order="F")
+        buf[:p, :p] = tri
+        yield buf[:p, :p], rhs
+
+
+def _solve_triangular(tri, rhs):
+    return scipy.linalg.solve_triangular(np.asfortranarray(tri), rhs, check_finite=False)
+
+
+def test_triangular_least_squares_is_bit_identical_to_solve_triangular():
+    cases = list(_full_rank_triangles())
+    # A -0.0 below the diagonal is zero, and a diagonal entry exactly at
+    # RANK_TOL times the largest passes the rank test.
+    tri = np.linalg.qr(np.random.default_rng(42).standard_normal((12, 6)))[1]
+    tri[4, 1] = -0.0
+    cases.append((tri, np.ones(6)))
+    edge = tri.copy()
+    edge[3, 3] = RANK_TOL * np.abs(edge.diagonal()).max()
+    cases.append((edge, np.ones(6)))
+    assert len(cases) >= 120
+    pivoted_differs = False
+    for tri, rhs in cases:
+        got = least_squares(tri, rhs, triangular=True)
+        _assert_same_bits(got, _solve_triangular(tri, rhs), tri.shape)
+        pivoted_differs |= not np.array_equal(got, least_squares(tri, rhs))
+    # the pivoted solve rounds differently, so the path taken shows in the bits
+    assert pivoted_differs
+
+
+def test_triangular_least_squares_leaves_other_systems_to_the_pivoted_solve():
+    rng = np.random.default_rng(43)
+    tri = np.linalg.qr(rng.standard_normal((15, 5)))[1]
+    zero_diagonal = tri.copy()
+    zero_diagonal[2, 2] = 0.0
+    tiny_diagonal = tri.copy()
+    tiny_diagonal[3, 3] = 0.5 * RANK_TOL * np.abs(tri.diagonal()).max()
+    below = tri.copy()
+    below[4, 1] = 1e-300
+    cases = {
+        "zero diagonal entry": zero_diagonal,
+        "diagonal entry below RANK_TOL": tiny_diagonal,
+        # the e3 window's rank-1 R, whose diagonal is all zero
+        "[[0, 1], [0, 0]]": np.array([[0.0, 1.0], [0.0, 0.0]]),
+        "zero matrix": np.zeros((4, 4)),
+        "nonzero entry below the diagonal": below,
+        # a tail's block of R's newest columns
+        "non-square": tri[:, 2:],
+        "general": rng.standard_normal((7, 3)),
+    }
+    for name, mat in cases.items():
+        rhs = rng.standard_normal(mat.shape[0])
+        _assert_same_bits(least_squares(mat, rhs, triangular=True), least_squares(mat, rhs), name)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_triangular_least_squares_keeps_the_error_contract(bad):
+    rng = np.random.default_rng(47)
+    tri = np.linalg.qr(rng.standard_normal((12, 5)))[1]
+    rhs = rng.standard_normal(5)
+
+    def error(mat, b, **kwargs):
+        with pytest.raises(ValueError) as info:
+            least_squares(mat, b, **kwargs)
+        return str(info.value)
+
+    for at in ((1, 3), (2, 2)):
+        broken = tri.copy()
+        broken[at] = bad
+        assert error(broken, rhs, triangular=True) == error(broken, rhs)
+    broken = rhs.copy()
+    broken[2] = bad
+    assert error(tri, broken, triangular=True) == error(tri, broken) == (
+        "rhs must not contain infs or NaNs"
+    )
