@@ -404,14 +404,15 @@ def optimized_beta(r_p, r_q) -> float:
 
     r_p and r_q are the residuals at the averaged iterate and at the
     averaged g-image. The magnitude of the 1-D least-squares minimizer is
-    clamped to 1; a degenerate or uninformative direction falls back to
-    the undamped value 1.
+    clamped to 1. A degenerate direction, ||r_p - r_q|| <= 1e-14 ||r_p||
+    (relative, so beta is scale-free; r_p = r_q = 0 is one), or an
+    uninformative one falls back to the undamped value 1.
     """
     r_p = np.asarray(r_p, dtype=float)
     r_q = np.asarray(r_q, dtype=float)
     diff = r_p - r_q
     dn = norm2(diff)
-    if dn < _DEGENERATE_RTOL * max(norm2(r_p), 1.0):
+    if dn <= _DEGENERATE_RTOL * norm2(r_p):
         return 1.0
     raw = abs(dot(diff, r_p)) / (dn * dn)
     if raw == 0.0:

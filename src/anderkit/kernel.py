@@ -2,13 +2,16 @@
 
 Scalar reductions (dot, norm2, ordered_sum) accumulate strictly left to
 right, so that recorded residual norms are reproducible across BLAS builds.
-Below _SEQUENTIAL_MIN (1024) terms they run numpy's add.accumulate; from
-1024 terms on they run np.subtract.reduce over the terms with all but the
-first negated, which is twice as fast at 4096 terms. numpy sums
-pairwise only in add's reduce loop; subtract's reduce loop runs element by
-element. IEEE arithmetic defines x - y as x + (-y) and rounds -(a * b) and
-(-a) * b alike, so both paths give the same bits, sign of zero included.
-Only the sign of a NaN result may differ, which IEEE leaves unspecified.
+numpy sums pairwise only in add's reduce loop; add's accumulate loop and
+subtract's reduce loop run element by element. dot and norm2 sum the
+products of whole iterates (1024 or 4096 terms on every benchmark
+workload) through np.subtract.reduce over the negated products, twice as
+fast as add.accumulate at 4096 terms. ordered_sum sums mixing coefficients
+(1 to 21 terms there) through add.accumulate, faster on short vectors.
+IEEE arithmetic defines x - y as x + (-y) and rounds -(a * b) and (-a) * b
+alike, so the two give the same bits at every length, sign of zero
+included. Only the sign of a NaN result may differ, which IEEE leaves
+unspecified.
 
 least_squares solves every mixing problem; the mixing solve hands it the
 columns of the triangular factor kept by the history window (all of them,
@@ -71,14 +74,6 @@ import numpy as np
 # pivot are treated as rank-deficient and receive zero coefficients.
 RANK_TOL = 1e-12
 
-# From this many terms on, the reductions run subtract.reduce instead of
-# add.accumulate. A measured crossover, not an option (a sum of squares,
-# numpy 2.4 on a 2-vCPU x86-64 VM): accumulate is faster at 512 terms (4.3
-# against 4.9 µs), subtract.reduce at 1024 (4.3 against 6.5 µs) and 4096
-# (9.4 against 19.0 µs).
-_SEQUENTIAL_MIN = 1024
-
-
 def _as_vector(v, name: str) -> np.ndarray:
     a = np.asarray(v, dtype=float)
     if a.ndim != 1:
@@ -89,10 +84,6 @@ def _as_vector(v, name: str) -> np.ndarray:
 def ordered_sum(v) -> float:
     """Sum of a 1-D array, accumulated strictly left to right."""
     n = len(v)
-    if n >= _SEQUENTIAL_MIN:
-        w = np.negative(v)
-        w[0] = v[0]
-        return _chained_difference(w)
     if n == 1:
         return float(v[0])
     # add.accumulate never reorders (unlike np.sum's pairwise summation).
@@ -102,24 +93,17 @@ def ordered_sum(v) -> float:
     return float(np.add.accumulate(v)[-1]) if n else 0.0
 
 
-def _chained_difference(w) -> float:
-    """w[0] - w[1] - ... - w[-1], strictly left to right."""
-    # subtract's reduce loop runs element by element; only add's sums
-    # pairwise. x - (-y) is x + y bit for bit, so on w = (v[0], -v[1], ...)
-    # this is the left-to-right sum of v.
-    return float(np.subtract.reduce(w))
-
-
 def _product_sum(a: np.ndarray, b: np.ndarray) -> float:
     """a[0] * b[0] + a[1] * b[1] + ..., left to right."""
-    if len(a) < _SEQUENTIAL_MIN:
-        return ordered_sum(a * b)
-    # (-a) * b is -(a * b) bit for bit: w holds the negated products, and
-    # restoring the first leaves the chained difference their sum.
+    if not len(a):
+        return 0.0
+    # (-a) * b is -(a * b) bit for bit: w holds the negated products.
+    # Restoring the first, w[0] - w[1] - ... - w[-1] is their sum, and
+    # subtract's reduce loop takes it element by element.
     w = np.negative(a)
     w *= b
     w[0] = -w[0]
-    return _chained_difference(w)
+    return float(np.subtract.reduce(w))
 
 
 def dot(a, b) -> float:

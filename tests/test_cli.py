@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import anderkit
-from anderkit import accelerator
+from anderkit import accelerator, cli
 from anderkit.accelerator import DampingPolicy, WindowMeter
 from anderkit.cli import (
     ExperimentConfig,
@@ -684,6 +684,19 @@ def test_main_check_passes(capsys):
     out = capsys.readouterr().out
     assert "FAIL" not in out
     assert out.count("ok ") >= 6
+
+
+def test_main_check_reports_a_failing_check_and_runs_the_rest(capsys, monkeypatch):
+    def broken():
+        raise AssertionError("broken on purpose")
+
+    (name, _), *rest = cli._CHECKS
+    monkeypatch.setattr(cli, "_CHECKS", ((name, broken), *rest))
+    assert main(["check"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"FAIL {name}: broken on purpose"
+    assert len(lines) == len(rest) + 1
+    assert all(line.startswith(f"ok   {other} (") for line, (other, _) in zip(lines[1:], rest))
 
 
 # ---- package ----

@@ -113,6 +113,24 @@ def test_audit_skips_when_no_step_has_diagnostics():
     assert report2.skipped
 
 
+def test_audit_skips_the_steps_that_lack_its_fields():
+    p, _ = affine_problem(seed=43)
+    cfg = RunConfig(tol=1e-12, max_iters=10)
+    # ADD rows carry theta but no beta; AA rows carry no inner_theta
+    additive = run(Additive(AA(2), AA(1)), p, p.default_start, cfg)
+    windowed = run(AA(2), p, p.default_start, cfg)
+    assert all(row.theta is not None and row.beta is None for row in additive.rows[1:])
+    assert all(row.inner_theta is None for row in windowed.rows)
+    # and a stepped row may carry no mixing fields at all
+    bare = _fake_trace(
+        [TraceRow(k=0, fevals=1, res_norm=1.0), TraceRow(k=1, fevals=2, res_norm=2.0)]
+    )
+    cases = [(additive, "damped"), (windowed, "composite"), (bare, "damped"), (bare, "composite")]
+    for trace, kind in cases:
+        report = contraction_audit(trace, kappa=0.5, kind=kind)
+        assert report.skipped and report.checked == 0 and report.violations == []
+
+
 def test_audit_rejects_bad_arguments():
     trace = _fake_trace([TraceRow(k=0, fevals=1, res_norm=1.0)])
     with pytest.raises(ValueError):

@@ -7,7 +7,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from anderkit.kernel import _SEQUENTIAL_MIN, RANK_TOL, dot, least_squares, norm2, ordered_sum
+from anderkit.composer import AA, RunConfig, run
+from anderkit.diagnostics import Termination
+from anderkit.kernel import RANK_TOL, dot, least_squares, norm2, ordered_sum
+from anderkit.problems import tridiag_problem
 
 
 def test_dot_matches_numpy_on_random_vectors():
@@ -49,10 +52,11 @@ def _left_to_right(terms):
 
 
 def test_reductions_are_bitwise_left_to_right_on_both_sides_of_the_crossover():
-    # add.accumulate runs below _SEQUENTIAL_MIN terms and subtract.reduce from
-    # it on; both must equal a Python loop in value and in the sign of zero.
+    # ordered_sum runs add.accumulate and dot/norm2 run subtract.reduce at
+    # every length, around the old 1024-term crossover included; both must
+    # equal a Python loop in value and in the sign of zero.
     # A NaN result only has to be NaN: IEEE leaves its sign unspecified.
-    t = _SEQUENTIAL_MIN
+    t = 1024
     rng = np.random.default_rng(31)
     specials = [0.0, -0.0, 5e-324, np.inf, -np.inf, np.nan, 1e200, -1e200]
 
@@ -394,3 +398,17 @@ def test_triangular_least_squares_keeps_the_error_contract(bad):
     assert error(tri, broken, triangular=True) == error(tri, broken) == (
         "rhs must not contain infs or NaNs"
     )
+
+
+def test_a_lapack_error_code_raises_and_fails_the_run(monkeypatch):
+    dtrtrs = scipy.linalg.lapack.dtrtrs
+    monkeypatch.setattr(
+        scipy.linalg.lapack, "dtrtrs", lambda *args, **kwargs: (dtrtrs(*args, **kwargs)[0], 1)
+    )
+    rng = np.random.default_rng(53)
+    with pytest.raises(np.linalg.LinAlgError, match=r"^dtrtrs returned info=1$"):
+        least_squares(rng.standard_normal((6, 2)), rng.standard_normal(6))
+    problem = tridiag_problem(10)
+    trace = run(AA(2), problem, problem.default_start, RunConfig(max_iters=10))
+    assert trace.termination == Termination.FAILED
+    assert trace.error == "LinAlgError: dtrtrs returned info=1"

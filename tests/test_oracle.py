@@ -73,7 +73,7 @@ class _Reference:
                 # a degenerate direction or a zero projection takes beta = 1
                 dn = np.linalg.norm(r_p - r_q)
                 beta = 1.0
-                if dn >= 1e-14 * max(np.linalg.norm(r_p), 1.0):
+                if dn > 1e-14 * np.linalg.norm(r_p):
                     beta = min(abs((r_p - r_q) @ r_p) / dn**2, 1.0) or 1.0
                 return x_avg + beta * (gx_avg - x_avg), None
             beta = d.beta if d.kind == "constant" else 1.0
