@@ -49,7 +49,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .kernel import RANK_TOL, dot, least_squares, norm2, ordered_sum
+from .kernel import NORMAL_MIN, RANK_TOL, dot, least_squares, max_exponent, norm2, ordered_sum
 
 # Relative threshold below which the damping direction r_p - r_q is treated
 # as degenerate and the undamped step is taken.
@@ -79,8 +79,8 @@ class WindowMeter:
         self.current = 0
         self.peak = 0
 
-    def acquire(self, k: int = 1) -> None:
-        self.current += k
+    def acquire(self) -> None:
+        self.current += 1
         if self.current > self.peak:
             self.peak = self.current
 
@@ -89,14 +89,22 @@ class WindowMeter:
 
 
 def _norm(v: np.ndarray) -> float:
-    """sqrt(v @ v), rescaled by v's largest entry where v @ v overflows."""
-    norm = np.sqrt(v @ v)
-    if norm == math.inf:
-        top = np.abs(v).max()
-        norm = top * np.sqrt((v / top) @ (v / top))
-    return norm
+    """sqrt(v @ v), rescaled by a power of two where v @ v leaves the normal range.
+
+    As in kernel.norm2, but with BLAS's summation order. A v with a NaN or
+    inf entry gives NaN, so a column holding one is not taken for zero.
+    """
+    total = float(v @ v)
+    if NORMAL_MIN <= total < math.inf:
+        return math.sqrt(total)
+    e = max_exponent(v)
+    if e is None:
+        return 0.0 if total == 0.0 else math.nan
+    w = np.ldexp(v, -e)
+    return float(np.ldexp(math.sqrt(w @ w), e))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _qr_append(q: np.ndarray, r: np.ndarray, k: int, u: np.ndarray) -> None:
     """Extend the thin QR in q[:, :k], r[:k, :k] by the column u, in place.
 
@@ -105,7 +113,9 @@ def _qr_append(q: np.ndarray, r: np.ndarray, k: int, u: np.ndarray) -> None:
     q[:, k] and r[:k + 1, k]. A column within RANK_TOL of
     the span of the first k (zero, dependent, or past the n-th) gets an
     exact zero q[:, k] and r[k, k] = 0. A column with NaN or inf entries is
-    stored as it is, so the next solve on r raises.
+    stored as it is, so the next solve on r raises. The overflow and
+    invalid-value warnings of its norms are silenced: _norm takes care of
+    the range, and a NaN is meant to reach the solve.
     """
     u_norm = _norm(u)
     if k:
@@ -208,7 +218,7 @@ class HistoryWindow:
         if not full:
             self._len += 1
             if self.meter is not None:
-                self.meter.acquire(1)
+                self.meter.acquire()
         if prev is not None and self.capacity > 1:
             self._append_difference(prev, entry, evict=full)
         return self
@@ -372,9 +382,9 @@ def solve_mixing_coefficients(window: HistoryWindow) -> MixingResult:
     With dF = QR, ||f_k - dF gamma||_2 and ||Q^T f_k - R gamma||_2 differ
     only by the part of f_k outside Q's range, so gamma is least_squares
     on the window's R columns and Q^T f_k, and the mixed residual
-    f_k - dF gamma is f_k - Q (R gamma). A whole window's square R goes as
-    a triangle, solved directly when its diagonal passes the rank test;
-    otherwise the pivoted solve gives columns below RANK_TOL zero weight,
+    f_k - dF gamma is f_k - Q (R gamma). least_squares solves a whole
+    window's square R directly when its diagonal passes the rank test;
+    otherwise its pivoted solve gives columns below RANK_TOL zero weight,
     so a degenerate window prefers the newest iterate.
     alpha = diff([0, gamma, 1]) sums to one by construction.
     """
@@ -386,7 +396,7 @@ def solve_mixing_coefficients(window: HistoryWindow) -> MixingResult:
             alpha=np.array([1.0]), x_avg=newest.x, gx_avg=newest.gx, mixed_norm=newest.f_norm
         )
     q, r = window.factor
-    gamma = least_squares(r, window.qtf(), triangular=True)
+    gamma = least_squares(r, window.qtf())
     x_avg = gamma @ window.differences()
     np.subtract(newest.x, x_avg, out=x_avg)
     # np.dot, not @: on a depth-1 window's n x 1 Fortran view of Q, @ costs
@@ -406,7 +416,9 @@ def optimized_beta(r_p, r_q) -> float:
     averaged g-image. The magnitude of the 1-D least-squares minimizer is
     clamped to 1. A degenerate direction, ||r_p - r_q|| <= 1e-14 ||r_p||
     (relative, so beta is scale-free; r_p = r_q = 0 is one), or an
-    uninformative one falls back to the undamped value 1.
+    uninformative one falls back to the undamped value 1. beta is the same
+    for r_p - r_q and r_p scaled alike, so where ||r_p - r_q||^2 would
+    leave the normal range both are scaled by one power of two first.
     """
     r_p = np.asarray(r_p, dtype=float)
     r_q = np.asarray(r_q, dtype=float)
@@ -414,6 +426,11 @@ def optimized_beta(r_p, r_q) -> float:
     dn = norm2(diff)
     if dn <= _DEGENERATE_RTOL * norm2(r_p):
         return 1.0
+    if not NORMAL_MIN <= dn * dn < math.inf:
+        e = max_exponent(diff)
+        if e is not None:
+            diff, r_p = np.ldexp(diff, -e), np.ldexp(r_p, -e)
+            dn = norm2(diff)
     raw = abs(dot(diff, r_p)) / (dn * dn)
     if raw == 0.0:
         # A zero projection would freeze the iterate; take the plain step.

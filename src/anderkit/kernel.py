@@ -13,30 +13,35 @@ alike, so the two give the same bits at every length, sign of zero
 included. Only the sign of a NaN result may differ, which IEEE leaves
 unspecified.
 
+dot and norm2 are safe out of range. Where the left-to-right sum leaves
+the normal range, [2^-1022, inf) in magnitude, although every entry is
+finite and one is nonzero, a product or the sum under- or overflowed. The
+same sum is then redone on the entries scaled by 2^-e, e the exponent of
+the largest (max_exponent), and scaled back by 2^e (Blue, ACM TOMS 4,
+1978; Anderson, ACM TOMS 44, 2017). Powers of two scale exactly, so norm2
+of 2^k v is 2^k norm2(v) wherever both sums stay normal; a true value
+past the largest double is still inf. A sum in range keeps its bits.
+
 least_squares solves every mixing problem; the mixing solve hands it the
 columns of the triangular factor kept by the history window (all of them,
 or a tail's newest ones) and Q^T f_k. A difference column that the factor
 found dependent is an exact zero column of Q with a zero row of R, so rank
-deficiency reaches least_squares as zero rows. By default it runs a
-pivoted-QR solve that decides the numerical rank. A caller that hands it
-a triangle it already factored passes triangular=True: a square, upper
-triangular, full-rank matrix (every |r_ii| >= RANK_TOL * max |r_ii| > 0)
-then takes one dtrtrs, with the bits of
+deficiency reaches least_squares as zero rows. It picks its path from the
+input. A square, upper triangular, full-rank matrix (every |r_ii| >=
+RANK_TOL * max |r_ii| > 0) takes one dtrtrs, with the bits of
 scipy.linalg.solve_triangular(np.asfortranarray(R), b). Anything else
 (a zero or tiny diagonal entry, a nonzero entry below the diagonal, a
-non-square block) takes the pivoted solve, whose rank test the diagonal
-of an updated factor cannot replace: a zero column rotated ahead of a live
-one leaves a rank-1 R = [[0, 1], [0, 0]] with a zero diagonal. The 1 x 1
-closed form below runs on both paths. The flag is a keyword, not a check
-made on every input, because the two paths round differently on the same
-triangle and general callers keep the pivoted bits.
+non-square block) takes a pivoted-QR solve that decides the numerical
+rank, which the diagonal of an updated factor cannot: a zero column
+rotated ahead of a live one leaves a rank-1 R = [[0, 1], [0, 0]] with a
+zero diagonal. A 1 x 1 system takes the closed form below before either.
 
 least_squares calls LAPACK directly: dgeqp3 for the pivoted QR, dorgqr
 for Q and dtrtrs for the triangle, the same routines scipy.linalg.qr and
 solve_triangular run, without their per-call wrapper work. On the pivoted
 path dtrtrs gets R^T with lower=1, trans=1, which is what solve_triangular
 passes for the C-ordered triangle it is given; a plain upper solve on R
-rounds differently. On the triangular path it gets the Fortran-ordered
+rounds differently. On the triangle path it gets the Fortran-ordered
 copy with lower=0, trans=0, which is what solve_triangular passes for a
 Fortran-ordered triangle. dgeqp3 and dorgqr get the wrappers' default
 workspaces: up to 128 columns, LAPACK's blocking crossover, both run
@@ -45,7 +50,7 @@ scipy.linalg.qr queries.
 A wider block (AA(129) or deeper) misses the blocked path, so it is slower
 and may round differently. The finiteness check that check_finite made is
 kept: a non-finite matrix, or a non-finite Q^T rhs (which a non-finite rhs
-gives), raises ValueError, and so does a non-finite rhs on the triangular
+gives), raises ValueError, and so does a non-finite rhs on the triangle
 path.
 
 A 1 x 1 system, which every depth-1 window hands over, skips the LAPACK
@@ -73,6 +78,10 @@ import numpy as np
 # Columns whose pivot magnitude falls below this fraction of the largest
 # pivot are treated as rank-deficient and receive zero coefficients.
 RANK_TOL = 1e-12
+
+# The smallest positive normal double, 2^-1022.
+NORMAL_MIN = 2.0**-1022
+
 
 def _as_vector(v, name: str) -> np.ndarray:
     a = np.asarray(v, dtype=float)
@@ -106,6 +115,18 @@ def _product_sum(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.subtract.reduce(w))
 
 
+def max_exponent(v: np.ndarray) -> int | None:
+    """e with 2^(e-1) <= max |v_i| < 2^e, or None if v is empty, zero or not finite.
+
+    Scaled by 2^-e, v's largest entry lies in [0.5, 1): its products and
+    their sums stay in range whatever v's scale.
+    """
+    top = float(np.abs(v).max()) if len(v) else 0.0
+    if top == 0.0 or not math.isfinite(top):
+        return None
+    return math.frexp(top)[1]
+
+
 def dot(a, b) -> float:
     a = _as_vector(a, "a")
     b = _as_vector(b, "b")
@@ -113,14 +134,30 @@ def dot(a, b) -> float:
         raise ValueError(f"length mismatch: {a.shape[0]} vs {b.shape[0]}")
     # Overflow is not an error here: inf propagates to the caller's checks.
     with np.errstate(over="ignore", invalid="ignore"):
-        return _product_sum(a, b)
+        total = _product_sum(a, b)
+        if NORMAL_MIN <= abs(total) < math.inf:
+            return total
+        ea, eb = max_exponent(a), max_exponent(b)
+        if ea is None or eb is None:
+            return total
+        # Out of range; see the module docstring.
+        total = _product_sum(np.ldexp(a, -ea), np.ldexp(b, -eb))
+        return float(np.ldexp(total, ea + eb))
 
 
 def norm2(v) -> float:
     v = _as_vector(v, "v")
     with np.errstate(over="ignore", invalid="ignore"):
         # math.sqrt is correctly rounded, as np.sqrt is.
-        return math.sqrt(_product_sum(v, v))
+        total = _product_sum(v, v)
+        if NORMAL_MIN <= total < math.inf:
+            return math.sqrt(total)
+        e = max_exponent(v)
+        if e is None:
+            return math.sqrt(total)
+        # Out of range; see the module docstring.
+        w = np.ldexp(v, -e)
+        return float(np.ldexp(math.sqrt(_product_sum(w, w)), e))
 
 
 def _check_info(info: int, routine: str) -> None:
@@ -128,14 +165,16 @@ def _check_info(info: int, routine: str) -> None:
         raise np.linalg.LinAlgError(f"{routine} returned info={info}")
 
 
-def least_squares(matrix, rhs, triangular: bool = False) -> np.ndarray:
-    """Minimize ||rhs - matrix @ w||_2 via QR with column pivoting.
+def least_squares(matrix, rhs) -> np.ndarray:
+    """Minimize ||rhs - matrix @ w||_2, by the path the matrix calls for.
 
-    Columns pivoted out by the rank tolerance get coefficient zero, so a
-    rank-deficient system returns the basic solution supported on the
-    dominant columns (an all-zero matrix yields all-zero coefficients).
-    With triangular=True a full-rank square upper triangle is solved
-    directly instead; see the module docstring.
+    A full-rank square upper triangle is solved directly, with the bits of
+    scipy.linalg.solve_triangular; see the module docstring. Any other
+    matrix goes through QR with column pivoting: columns pivoted out by
+    the rank tolerance get coefficient zero, so a rank-deficient system
+    returns the basic solution supported on the dominant columns (an
+    all-zero matrix yields all-zero coefficients). A 1 x 1 system takes a
+    closed form with the pivoted solve's bits.
     """
     # A Fortran-ordered copy, which dgeqp3 factors in place.
     a = np.array(matrix, dtype=float, order="F")
@@ -163,7 +202,7 @@ def least_squares(matrix, rhs, triangular: bool = False) -> np.ndarray:
 
     from scipy.linalg import lapack
 
-    if triangular and n == p and _is_full_rank_triangle(a):
+    if n == p and _is_full_rank_triangle(a):
         if not np.isfinite(b).all():
             raise ValueError("rhs must not contain infs or NaNs")
         w, info = lapack.dtrtrs(a, b, lower=0, trans=0)

@@ -1,5 +1,7 @@
 """History window, mixing solve, damping policies, single Anderson steps."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -611,6 +613,23 @@ def test_qr_append_onto_an_empty_basis_equals_the_projection_formula():
         assert np.array_equal(r, [[rho, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
 
 
+def test_qr_append_keeps_live_columns_at_any_scale():
+    # ||u||^2 and ||v||^2 under- or overflow, but the columns are
+    # independent: both are kept, with R scaled by 2^k and Q unchanged
+    rng = np.random.default_rng(67)
+    u1, u2 = rng.standard_normal(5), rng.standard_normal(5)
+    q0, r0 = np.zeros((5, 2), order="F"), np.zeros((2, 2))
+    _qr_append(q0, r0, 0, u1)
+    _qr_append(q0, r0, 1, u2)
+    for k in (-600, 600):
+        q, r = np.zeros((5, 2), order="F"), np.zeros((2, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _qr_append(q, r, 0, np.ldexp(u1, k))
+            _qr_append(q, r, 1, np.ldexp(u2, k))
+        assert np.array_equal(r, np.ldexp(r0, k)) and np.array_equal(q, q0), k
+
+
 def test_qr_append_onto_an_empty_basis_refuses_what_it_cannot_factor():
     # It refuses nothing now: a zero column becomes an exact zero, and a
     # non-finite one is stored as it is, so the next solve raises.
@@ -739,6 +758,16 @@ def test_optimized_beta_matches_grid_argmin():
         best = grid[int(np.argmin(vals))]
         assert abs(optimized_beta(r_p, r_q) - best) < 1e-4
     assert hits >= 10
+
+
+def test_optimized_beta_is_scale_free_out_of_range():
+    # ||r_p - r_q||^2 under- or overflows past 2^+-512; beta is unchanged
+    rng = np.random.default_rng(61)
+    for _ in range(20):
+        r_p, r_q = rng.standard_normal(6), rng.standard_normal(6)
+        beta = optimized_beta(r_p, r_q)
+        for k in (-1000, -600, 600, 1000):
+            assert optimized_beta(np.ldexp(r_p, k), np.ldexp(r_q, k)) == beta, k
 
 
 def test_optimized_beta_degenerate_inputs():
@@ -892,8 +921,8 @@ def test_undamped_step_equals_the_beta_one_blend(p, policy):
 
 def test_single_entry_step_is_checked_unless_its_norm_is_finite(monkeypatch):
     # A finite ||f|| proves the one-entry step finite, so it is not checked.
-    # Here f is finite but ||f|| overflows: the step is checked and, being
-    # finite, returned.
+    # Here f is finite but its true norm, 1.5e308 * sqrt(2), overflows: the
+    # step is checked and, being finite, returned.
     checked = []
     isfinite = np.isfinite
 
@@ -901,7 +930,7 @@ def test_single_entry_step_is_checked_unless_its_norm_is_finite(monkeypatch):
         checked.append(a)
         return isfinite(a)
 
-    for gx, want_checked in (([1.0, 2.0], False), ([1e200, 1e200], True)):
+    for gx, want_checked in (([1.0, 2.0], False), ([1.5e308, 1.5e308], True)):
         w = HistoryWindow(1)
         w.push(np.zeros(2), np.array(gx))
         assert np.isfinite(w.newest().f_norm) != want_checked

@@ -1,4 +1,4 @@
-"""Kernel primitives: reductions and the pivoted least-squares solve."""
+"""Kernel primitives: reductions and the least-squares solve."""
 
 import math
 import warnings
@@ -51,10 +51,37 @@ def _left_to_right(terms):
     return acc
 
 
+def _exponent(terms):
+    # e with 2^(e-1) <= max |t| < 2^e, or None unless every entry is finite
+    # and one is nonzero
+    if not all(map(math.isfinite, terms)) or not any(terms):
+        return None
+    return math.frexp(max(map(abs, terms)))[1]
+
+
+def _loop_product_sum(a, b, root=False):
+    """Python reference of dot (and of norm2 with a = b and root=True).
+
+    The left-to-right sum of the products, or, where it leaves the normal
+    range [2^-1022, inf) though every entry is finite and one is nonzero,
+    the same sum over the entries scaled by 2^-e, scaled back by 2^e.
+    """
+    finish = math.sqrt if root else float
+    total = _left_to_right([x * y for x, y in zip(a, b)])
+    ea, eb = _exponent(a), _exponent(b)
+    if 2.0**-1022 <= abs(total) < math.inf or ea is None or eb is None:
+        return finish(total)
+    scaled = _left_to_right([math.ldexp(x, -ea) * math.ldexp(y, -eb) for x, y in zip(a, b)])
+    # math.ldexp raises on overflow; np.ldexp gives inf
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(finish(scaled), ea if root else ea + eb))
+
+
 def test_reductions_are_bitwise_left_to_right_on_both_sides_of_the_crossover():
     # ordered_sum runs add.accumulate and dot/norm2 run subtract.reduce at
     # every length, around the old 1024-term crossover included; both must
-    # equal a Python loop in value and in the sign of zero.
+    # equal a Python loop in value and in the sign of zero, dot and norm2
+    # by way of the out-of-range rescaling that _loop_product_sum spells out.
     # A NaN result only has to be NaN: IEEE leaves its sign unspecified.
     t = 1024
     rng = np.random.default_rng(31)
@@ -73,7 +100,7 @@ def test_reductions_are_bitwise_left_to_right_on_both_sides_of_the_crossover():
         yield scaled(n), scaled(n)
         yield np.full(n, -0.0), np.ones(n)  # every product is -0.0
         yield rng.choice([0.0, -0.0], n), scaled(n)
-        yield np.full(n, 1e200), scaled(n)  # every square overflows
+        yield np.full(n, 1e200), scaled(n)  # every square overflows: norm2 rescales
         for _ in range(3):
             v, w = scaled(n), scaled(n)
             for x in (v, w):
@@ -88,8 +115,8 @@ def test_reductions_are_bitwise_left_to_right_on_both_sides_of_the_crossover():
             for v, w in pairs(n):
                 terms = v.tolist()
                 want_sum = _left_to_right(terms)
-                want_dot = _left_to_right([x * y for x, y in zip(terms, w.tolist())])
-                want_norm = math.sqrt(_left_to_right([x * x for x in terms]))
+                want_dot = _loop_product_sum(terms, w.tolist())
+                want_norm = _loop_product_sum(terms, terms, root=True)
                 # ordered_sum signals inf - inf as add.accumulate does;
                 # dot and norm2 are silent.
                 with np.errstate(invalid="ignore"):
@@ -114,6 +141,37 @@ def test_norm2_basic_values():
     rng = np.random.default_rng(11)
     v = rng.standard_normal(333)
     assert abs(norm2(v) - float(np.linalg.norm(v))) < 1e-12 * float(np.linalg.norm(v))
+
+
+def test_norm2_and_dot_are_safe_out_of_range():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # the sum of squares overflows, the norm does not
+        assert norm2(np.array([1e200])) == 1e200
+        # the sum of squares underflows to 0.0; the norm is that of the
+        # vector scaled into range, scaled back
+        tiny = np.full(3, 1e-170)
+        assert norm2(tiny) == np.ldexp(norm2(np.ldexp(tiny, 600)), -600) > 0.0
+        # a true norm past the largest double is still inf
+        assert norm2(np.array([1.5e308, 1.5e308])) == math.inf
+        assert dot(np.array([1.5e308, 1.5e308]), np.array([2.0, 2.0])) == math.inf
+        # inf - inf on the direct path; rescaled, the large products cancel
+        assert dot(np.array([1e300, -1e300, 1.0]), np.array([1e10, 1e10, 1.0])) == 1.0
+        # subnormal products
+        a, b = np.full(4, 1e-160), np.full(4, -1e-150)
+        assert dot(a, b) == np.ldexp(dot(np.ldexp(a, 600), np.ldexp(b, 600)), -1200) < 0.0
+        # non-finite entries and exact zeros are left to the direct sum
+        assert math.isnan(norm2(np.array([np.inf, np.nan])))
+        assert norm2(np.array([1.0, np.inf])) == math.inf
+        assert math.copysign(1.0, dot(np.full(3, -0.0), np.ones(3))) == -1.0
+
+
+def test_norm2_scales_exactly_by_powers_of_two():
+    rng = np.random.default_rng(59)
+    v = rng.choice([-1.0, 1.0], 50) * rng.uniform(0.5, 2.0, 50)
+    base = norm2(v)
+    for k in (-1000, -600, -300, -1, 0, 1, 300, 600, 1000):
+        assert norm2(np.ldexp(v, k)) == np.ldexp(base, k), k
 
 
 def test_dot_rejects_shape_mismatch():
@@ -261,11 +319,36 @@ def _kernel_cases():
         yield "wide-triangle", np.linalg.qr(scaled(p + 10, p))[1], rng.standard_normal(p)
 
 
+def _is_full_rank_triangle(mat):
+    # Square, upper triangular, every |r_ii| >= RANK_TOL * max |r_ii| > 0. A
+    # 1 x 1 system is left out: its closed form keeps the pivoted bits.
+    n, p = mat.shape
+    if n != p or n < 2 or not np.array_equal(mat, np.triu(mat)):
+        return False
+    diag = np.abs(np.diag(mat))
+    return diag.max() > 0.0 and diag.min() >= RANK_TOL * diag.max()
+
+
+def _solve_triangular(tri, rhs):
+    return scipy.linalg.solve_triangular(np.asfortranarray(tri), rhs, check_finite=False)
+
+
 def test_least_squares_is_bit_identical_to_the_scipy_wrapper_solve():
+    # A full-rank triangle has the bits of solve_triangular, and every
+    # other system those of the pivoted QR solve.
     cases = list(_kernel_cases())
     assert len(cases) >= 300
+    pivoted_triangles = direct = 0
     for kind, mat, rhs in cases:
-        assert np.array_equal(least_squares(mat, rhs), _scipy_least_squares(mat, rhs)), kind
+        if _is_full_rank_triangle(mat):
+            direct += 1
+            want = _solve_triangular(mat, rhs)
+        else:
+            pivoted_triangles += "triangle" in kind
+            want = _scipy_least_squares(mat, rhs)
+        assert np.array_equal(least_squares(mat, rhs), want), kind
+    # both paths are reached, triangles with a tiny diagonal entry included
+    assert direct >= 30 and pivoted_triangles >= 30, (direct, pivoted_triangles)
 
 
 def _assert_same_bits(got, want, case):
@@ -329,10 +412,6 @@ def _full_rank_triangles():
         yield buf[:p, :p], rhs
 
 
-def _solve_triangular(tri, rhs):
-    return scipy.linalg.solve_triangular(np.asfortranarray(tri), rhs, check_finite=False)
-
-
 def test_triangular_least_squares_is_bit_identical_to_solve_triangular():
     cases = list(_full_rank_triangles())
     # A -0.0 below the diagonal is zero, and a diagonal entry exactly at
@@ -346,9 +425,9 @@ def test_triangular_least_squares_is_bit_identical_to_solve_triangular():
     assert len(cases) >= 120
     pivoted_differs = False
     for tri, rhs in cases:
-        got = least_squares(tri, rhs, triangular=True)
+        got = least_squares(tri, rhs)
         _assert_same_bits(got, _solve_triangular(tri, rhs), tri.shape)
-        pivoted_differs |= not np.array_equal(got, least_squares(tri, rhs))
+        pivoted_differs |= not np.array_equal(got, _scipy_least_squares(tri, rhs))
     # the pivoted solve rounds differently, so the path taken shows in the bits
     assert pivoted_differs
 
@@ -375,7 +454,7 @@ def test_triangular_least_squares_leaves_other_systems_to_the_pivoted_solve():
     }
     for name, mat in cases.items():
         rhs = rng.standard_normal(mat.shape[0])
-        _assert_same_bits(least_squares(mat, rhs, triangular=True), least_squares(mat, rhs), name)
+        _assert_same_bits(least_squares(mat, rhs), _scipy_least_squares(mat, rhs), name)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -384,18 +463,19 @@ def test_triangular_least_squares_keeps_the_error_contract(bad):
     tri = np.linalg.qr(rng.standard_normal((12, 5)))[1]
     rhs = rng.standard_normal(5)
 
-    def error(mat, b, **kwargs):
+    def error(mat, b):
         with pytest.raises(ValueError) as info:
-            least_squares(mat, b, **kwargs)
+            least_squares(mat, b)
         return str(info.value)
 
     for at in ((1, 3), (2, 2)):
         broken = tri.copy()
         broken[at] = bad
-        assert error(broken, rhs, triangular=True) == error(broken, rhs)
+        assert error(broken, rhs) == "matrix must not contain infs or NaNs"
     broken = rhs.copy()
     broken[2] = bad
-    assert error(tri, broken, triangular=True) == error(tri, broken) == (
+    # the triangle path and the pivoted one (a tail's block) say the same
+    assert error(tri, broken) == error(tri[:, 1:], broken) == (
         "rhs must not contain infs or NaNs"
     )
 
