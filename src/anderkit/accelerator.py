@@ -361,14 +361,12 @@ class MixingResult:
 
 @dataclass(slots=True)
 class StepOutcome:
-    """One step's next iterate and the fields of its trace row.
+    """One step's next iterate, not yet evaluated, and the fields of its trace row.
 
-    gx_next is g(x_next) when the step has already evaluated it, else None.
     checks holds one (theta, alpha_sum) pair per mixing event, in order.
     """
 
     x_next: np.ndarray
-    gx_next: np.ndarray | None
     beta: float | None
     theta: float | None
     alpha_abs_sum: float | None
@@ -457,8 +455,7 @@ def aa_step(
 
     Returns the next iterate with its trace-row fields: beta, the mixing
     gain theta = ||sum_i alpha_i f_i|| / ||f_k||, ||alpha||_1, and the one
-    mixing check (theta, sum_i alpha_i). gx_next is None: nothing has
-    evaluated g at the next iterate yet. The optimized policy spends
+    mixing check (theta, sum_i alpha_i). The optimized policy spends
     exactly two g evaluations (at the averaged iterate and at the averaged
     g-image); the other policies spend none. An undamped step returns the
     averaged g-image itself, which for a one-entry window is the stored g(x).
@@ -491,4 +488,4 @@ def aa_step(
 
     if checked and not np.isfinite(x_next).all():
         raise DivergedError("next iterate left the finite range")
-    return StepOutcome(x_next, None, beta, theta, mix.alpha_abs_sum, ((theta, mix.alpha_sum),))
+    return StepOutcome(x_next, beta, theta, mix.alpha_abs_sum, ((theta, mix.alpha_sum),))

@@ -401,6 +401,7 @@ def _check_feval_budget():
         "picard": (Picard(), 11),
         "AAoptD": (AA(2, DampingPolicy.optimized()), 31),
         "AA(m,AA(1))": (Multiplicative(AA(2), AA(1)), 21),
+        "ADD(AA(m,AA(1)),AA(n))": (Additive(Multiplicative(AA(2), AA(1)), AA(3)), 21),
     }
     for name, (spec, want) in points.items():
         trace = run(spec, problem, problem.default_start, cfg)
@@ -421,7 +422,8 @@ def _check_memory():
     for spec, want in (
         (AA(5), 6),
         (Additive(AA(5), AA(1)), 6),
-        (Multiplicative(AA(5), AA(1)), 8),
+        (Multiplicative(AA(5), AA(1)), 7),
+        (Multiplicative(AA(4), AA(2), iter_n=5), 8),
     ):
         meter = WindowMeter()
         run(spec, problem, problem.default_start, cfg, meter=meter)

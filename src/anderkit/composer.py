@@ -8,18 +8,17 @@ hands its result to a freshly started inner accelerator for iter_n steps.
 Each spec node steps itself: step(window, g) reads the newest `depth` slots
 of the shared window, and `memory` is an upper bound on the history slots
 live while it steps (its depth plus the largest window it opens for one
-step). A step returns one flat record holding the next iterate and the
-fields of its trace row. `_advance` is the only place that evaluates g on a
-produced iterate, checks that the image is finite and pushes the pair onto
-a window.
+step). A step returns one flat record holding the next iterate, not yet
+evaluated, and the fields of its trace row. `_advance` is the only place
+that evaluates g on a produced iterate, checks that the image is finite and
+pushes the pair onto a window.
 
 Each node also describes itself: `label` is its canonical grammar string,
 `iter_scale` the sub-steps one step counts for in paper-style iteration
-plots, and `cost_per_step` the g evaluations one run() step spends on it.
-That cost is built from `step_evals`, the evaluations made inside step():
-a node that hands back no image leaves one more to the caller. These five
-numbers are set once, when a node is built, from its fields and its
-children's numbers, so reading one never walks the tree.
+plots, and `cost_per_step` the g evaluations one run() step spends on it,
+the evaluation of its result included. These four numbers are set once,
+when a node is built, from its fields and its children's numbers, so
+reading one never walks the tree.
 
 run() records the seed as step 0, a step whose outcome is x0 itself, and
 evaluates and records every step the same way. After each row the first
@@ -74,7 +73,6 @@ class Picard:
     """Plain fixed-point iteration x <- g(x)."""
 
     depth = memory = iter_scale = cost_per_step = 1
-    step_evals = 0
     label = "picard"
 
     def step(self, window: HistoryWindow, g) -> StepOutcome:
@@ -92,9 +90,9 @@ class AA:
 
     def __post_init__(self):
         _check_size("window size", self.m)
-        step_evals = 2 if self.damping.kind == "optimized" else 0
-        _account(self, depth=self.m + 1, memory=self.m + 1, step_evals=step_evals,
-                 cost_per_step=step_evals + 1)
+        # The optimized policy probes g at the averaged iterate and image.
+        _account(self, depth=self.m + 1, memory=self.m + 1,
+                 cost_per_step=3 if self.damping.kind == "optimized" else 1)
 
     @property
     def label(self) -> str:
@@ -143,13 +141,12 @@ class Additive:
                 f"weights must sum to 1, got {self.w_left} + {self.w_right}"
             )
         depth = max(self.left.depth, self.right.depth)
-        step_evals = self.left.step_evals + self.right.step_evals
         # The branches step in turn, so only the larger of their transient
-        # windows is live on top of the shared one. The blend hands back no
-        # image (a multiplicative branch's is dropped), so run() evaluates it.
+        # windows is live on top of the shared one. Each branch's cost counts
+        # the evaluation of its own result; only the blend's is made.
         _account(self, depth=depth,
                  memory=depth + max(b.memory - b.depth for b in (self.left, self.right)),
-                 step_evals=step_evals, cost_per_step=step_evals + 1)
+                 cost_per_step=self.left.cost_per_step + self.right.cost_per_step - 1)
 
     @property
     def label(self) -> str:
@@ -166,7 +163,7 @@ class Additive:
             raise DivergedError("blended iterate left the finite range")
         theta = max(lo.theta, ro.theta)
         abs_sum = max(lo.alpha_abs_sum, ro.alpha_abs_sum)
-        return StepOutcome(x_next, None, None, theta, abs_sum, lo.checks + ro.checks)
+        return StepOutcome(x_next, None, theta, abs_sum, lo.checks + ro.checks)
 
 
 @dataclass(frozen=True)
@@ -184,14 +181,12 @@ class Multiplicative:
         if not isinstance(self.outer, AA):
             raise ValueError("multiplicative composition needs a windowed outer accelerator")
         _check_size("iter_n", self.iter_n)
-        step_evals = self.outer.step_evals
-        if self.iter_n > 0:
-            # g at the outer result, then iter_n inner steps that each end evaluated.
-            step_evals += 1 + self.iter_n * self.inner.cost_per_step
-        # With iter_n > 0 the step hands back its image; otherwise run() evaluates it.
-        _account(self, depth=self.outer.depth, memory=self.outer.depth + self.inner.memory,
-                 iter_scale=1 + self.iter_n, step_evals=step_evals,
-                 cost_per_step=step_evals + (self.iter_n == 0))
+        inner = self.inner
+        # The inner window holds the start of each of the iter_n inner steps.
+        _account(self, depth=self.outer.depth,
+                 memory=self.outer.depth + inner.memory - max(inner.depth - self.iter_n, 0),
+                 iter_scale=1 + self.iter_n,
+                 cost_per_step=self.outer.cost_per_step + self.iter_n * inner.cost_per_step)
 
     @property
     def label(self) -> str:
@@ -206,22 +201,21 @@ class Multiplicative:
         oo = self.outer.step(window, g)
         if self.iter_n == 0:
             return oo
+        x = oo.x_next
         checks = oo.checks
         inner_theta = None
         inner_window = HistoryWindow(self.inner.depth, window.meter)
         try:
-            entry = _advance(inner_window, oo.x_next, None, g)
             for _ in range(self.iter_n):
+                _advance(inner_window, x, g)
                 io = self.inner.step(inner_window, g)
                 if inner_theta is None:
                     inner_theta = io.theta
                 checks += io.checks
-                entry = _advance(inner_window, io.x_next, io.gx_next, g)
+                x = io.x_next
         finally:
             inner_window.close()
-        return StepOutcome(
-            entry.x, entry.gx, oo.beta, oo.theta, oo.alpha_abs_sum, checks, inner_theta
-        )
+        return StepOutcome(x, oo.beta, oo.theta, oo.alpha_abs_sum, checks, inner_theta)
 
 
 AcceleratorSpec = Union[Picard, AA, Additive, Multiplicative]
@@ -257,14 +251,12 @@ class CountingMap:
         return self.fn(x)
 
 
-def _advance(window: HistoryWindow, x: np.ndarray, gx, g) -> WindowEntry:
-    """Push (x, g(x)) onto window and return the new entry.
+def _advance(window: HistoryWindow, x: np.ndarray, g) -> WindowEntry:
+    """Evaluate g(x), push (x, g(x)) onto window and return the new entry.
 
-    g(x) is evaluated when gx is None. A non-finite image raises
-    DivergedError before anything is pushed.
+    A non-finite image raises DivergedError before anything is pushed.
     """
-    if gx is None:
-        gx = g(x)
+    gx = g(x)
     if not np.isfinite(gx).all():
         raise DivergedError("evaluation left the finite range")
     window.push(x, gx)
@@ -305,13 +297,13 @@ def run(
     rows: list[TraceRow] = []
     termination: Termination | None = None
     error: str | None = None
-    out = StepOutcome(x, None, None, None, None, ())  # step 0, the seed: x0 itself
+    out = StepOutcome(x, None, None, None, ())  # step 0, the seed: x0 itself
     k = 0
     while termination is None:
         try:
             if k > 0:
                 out = spec.step(window, g)
-            res = _advance(window, out.x_next, out.gx_next, g).f_norm
+            res = _advance(window, out.x_next, g).f_norm
         except DivergedError:
             termination = Termination.DIVERGED
             break

@@ -42,11 +42,11 @@ def test_memory_footprint_formulas():
     assert Picard().memory == 1
     assert AA(20).memory == 21
     assert Additive(AA(20), AA(1)).memory == 21
-    assert Multiplicative(AA(20), AA(1)).memory == 23
+    assert Multiplicative(AA(20), AA(1)).memory == 22
     assert Multiplicative(AA(3), Picard()).memory == 5
     nested = Additive(Multiplicative(AA(2), AA(1)), AA(5))
-    # the shared window of 6 plus the 2-slot inner window the left branch opens
-    assert nested.memory == 6 + 2
+    # the shared window of 6 plus the 1-slot inner window the left branch opens
+    assert nested.memory == 6 + 1
 
 
 # ---- contraction audits ----

@@ -78,7 +78,7 @@ def _loop_product_sum(a, b, root=False):
 
 
 def test_reductions_are_bitwise_left_to_right_on_both_sides_of_the_crossover():
-    # ordered_sum runs add.accumulate and dot/norm2 run subtract.reduce at
+    # ordered_sum folds Python floats and dot/norm2 run subtract.reduce at
     # every length, around the old 1024-term crossover included; both must
     # equal a Python loop in value and in the sign of zero, dot and norm2
     # by way of the out-of-range rescaling that _loop_product_sum spells out.
@@ -117,10 +117,7 @@ def test_reductions_are_bitwise_left_to_right_on_both_sides_of_the_crossover():
                 want_sum = _left_to_right(terms)
                 want_dot = _loop_product_sum(terms, w.tolist())
                 want_norm = _loop_product_sum(terms, terms, root=True)
-                # ordered_sum signals inf - inf as add.accumulate does;
-                # dot and norm2 are silent.
-                with np.errstate(invalid="ignore"):
-                    assert same(ordered_sum(v), want_sum), (n, want_sum)
+                assert same(ordered_sum(v), want_sum), (n, want_sum)
                 assert same(dot(v, w), want_dot), (n, want_dot)
                 assert same(norm2(v), want_norm), (n, want_norm)
                 if n == 4096 and math.isfinite(want_sum):

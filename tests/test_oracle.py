@@ -61,9 +61,9 @@ class _Reference:
         return alpha @ xs, alpha @ gxs
 
     def step(self, spec, hist):
-        """Next iterate and, when already evaluated, its image."""
+        """Next iterate, not yet evaluated."""
         if isinstance(spec, Picard):
-            return hist[-1][1], None
+            return hist[-1][1]
         if isinstance(spec, AA):
             x_avg, gx_avg = self.mix(hist, spec.m)
             d = spec.damping
@@ -75,30 +75,28 @@ class _Reference:
                 beta = 1.0
                 if dn > 1e-14 * np.linalg.norm(r_p):
                     beta = min(abs((r_p - r_q) @ r_p) / dn**2, 1.0) or 1.0
-                return x_avg + beta * (gx_avg - x_avg), None
+                return x_avg + beta * (gx_avg - x_avg)
             beta = d.beta if d.kind == "constant" else 1.0
-            return (1.0 - beta) * x_avg + beta * gx_avg, None
+            return (1.0 - beta) * x_avg + beta * gx_avg
         if isinstance(spec, Additive):
-            xl, _ = self.step(spec.left, hist)
-            xr, _ = self.step(spec.right, hist)
-            return spec.w_left * xl + spec.w_right * xr, None
-        x, gx = self.step(spec.outer, hist)
-        if spec.iter_n == 0:
-            return x, gx
+            xl = self.step(spec.left, hist)
+            xr = self.step(spec.right, hist)
+            return spec.w_left * xl + spec.w_right * xr
+        # each inner step starts from the evaluated point before it
+        x = self.step(spec.outer, hist)
         inner, depth = [], _depth(spec.inner)
-        self.push(inner, depth, x, self.ev(x))
         for _ in range(spec.iter_n):
-            x, gx = self.step(spec.inner, inner)
-            self.push(inner, depth, x, self.ev(x) if gx is None else gx)
+            self.push(inner, depth, x, self.ev(x))
+            x = self.step(spec.inner, inner)
         self.live -= len(inner)
-        return inner[-1][:2]
+        return x
 
     def run(self, spec, x0, steps):
         hist, depth = [], _depth(spec)
         self.push(hist, depth, x0, self.ev(x0))
         for _ in range(steps):
-            x, gx = self.step(spec, hist)
-            self.push(hist, depth, x, self.ev(x) if gx is None else gx)
+            x = self.step(spec, hist)
+            self.push(hist, depth, x, self.ev(x))
 
 
 def _depth(spec):
