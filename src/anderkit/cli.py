@@ -8,9 +8,10 @@ Solver grammar::
           | "ADD(" SPEC "," SPEC ["," FLOAT "," FLOAT] ")"
 
 A postfix suffix list may follow any SPEC, naming each suffix at most once:
-";beta=F" turns AA(m) into a constant-damped accelerator, ";eta=F" and
-";guard=floor|reflect" configure the optimized-damping safeguard, ";iterN=I"
-sets the inner step count of a composed form. "AA(m,SPEC)" composes
+";beta=F" turns AA(m) into a constant-damped accelerator, and damps the
+outer step of a composed AA(m,SPEC); ";eta=F" and ";guard=floor|reflect"
+configure the optimized-damping safeguard; ";iterN=I" sets the inner step
+count of a composed form. "AA(m,SPEC)" composes
 multiplicatively (outer window m, fresh inner SPEC each step); "ADD" blends
 two specs with weights that must sum to one (default 0.5/0.5). A SPEC
 nests at most 100 levels below the top-level one, a fixed limit that keeps
@@ -102,22 +103,19 @@ _SUFFIXES = {
 def _with_suffix(node: AcceleratorSpec, key: str, value) -> AcceleratorSpec:
     """node with the suffix key=value applied; ValueError if it does not apply."""
     if key == "iterN":
-        if not isinstance(node, Multiplicative):
+        if not isinstance(node, AA) or node.inner is None:
             raise ValueError("iterN suffix applies to composed AA(m,SPEC) forms only")
         return dataclasses.replace(node, iter_n=value)
     if key == "beta":
         if not isinstance(node, AA) or node.damping.kind != "none":
-            raise ValueError("beta suffix applies to plain AA(m) only")
+            raise ValueError("beta suffix applies to undamped AA(m) and AA(m,SPEC) forms only")
         return dataclasses.replace(node, damping=DampingPolicy.constant(value))
     if key == "guard" and value not in ("floor", "reflect"):
         raise ValueError(f"guard must be 'floor' or 'reflect', got {value!r}")
-    # eta and guard set the policy of an AAoptD node or of a composed form's outer one.
-    target = node.outer if isinstance(node, Multiplicative) else node
-    if not isinstance(target, AA) or target.damping.kind != "optimized":
+    if not isinstance(node, AA) or node.damping.kind != "optimized":
         raise ValueError("eta/guard suffixes apply to AAoptD forms only")
     change = {"eta": value} if key == "eta" else {"safeguard": value}
-    target = dataclasses.replace(target, damping=dataclasses.replace(target.damping, **change))
-    return dataclasses.replace(node, outer=target) if isinstance(node, Multiplicative) else target
+    return dataclasses.replace(node, damping=dataclasses.replace(node.damping, **change))
 
 
 class _SpecParser:
@@ -197,10 +195,10 @@ class _SpecParser:
                 policy = DampingPolicy.none()
             else:
                 self.fail("expected 'picard', 'AA(', 'AAoptD(' or 'ADD('")
-            node = AA(self.match(_INT_RE, "window size", int), policy)
-            if self.eat(","):
-                node = Multiplicative(node, self.spec(level + 1))
+            m = self.match(_INT_RE, "window size", int)
+            inner = self.spec(level + 1) if self.eat(",") else None
             self.expect(")")
+            node = AA(m, policy, inner)
         # Suffixes bind to the node just closed, each at most once.
         seen = set()
         while self.eat(";"):
@@ -424,6 +422,7 @@ def _check_memory():
         (Additive(AA(5), AA(1)), 6),
         (Multiplicative(AA(5), AA(1)), 7),
         (Multiplicative(AA(4), AA(2), iter_n=5), 8),
+        (Multiplicative(AA(1), Multiplicative(AA(1), AA(1)), iter_n=0), 2),
     ):
         meter = WindowMeter()
         run(spec, problem, problem.default_start, cfg, meter=meter)
@@ -556,7 +555,7 @@ solver grammar:
         | ADD(SPEC,SPEC[,w,w])   weighted blend over one shared history
 
 suffixes (append after a SPEC):
-  ;beta=F                 constant damping for plain AA(m), F in (0,1]
+  ;beta=F                 constant damping for AA(m) or AA(m,SPEC)'s outer step, F in (0,1]
   ;eta=F;guard=floor      keep optimized beta >= eta (eta in (0,0.5))
   ;eta=F;guard=reflect    map beta < eta to 1-beta
   ;iterN=I                inner steps per outer step (default 1)

@@ -1,14 +1,15 @@
 """Accelerator composition algebra and the fixed-point runner.
 
 A solver is described by a small recursive spec: Picard, a windowed
-Anderson accelerator AA, an Additive blend of two specs over one shared
-iterate history, or a Multiplicative chain where each outer Anderson step
-hands its result to a freshly started inner accelerator for iter_n steps.
+Anderson accelerator AA, or an Additive blend of two specs over one shared
+iterate history. An AA node with an inner spec is the multiplicative
+composite AA(m,SPEC): each outer Anderson step hands its result to a freshly
+started inner accelerator for iter_n steps. Multiplicative(outer, inner,
+iter_n) builds one.
 
 Each spec node steps itself: step(window, g) reads the newest `depth` slots
-of the shared window, and `memory` is an upper bound on the history slots
-live while it steps (its depth plus the largest window it opens for one
-step). A step returns one flat record holding the next iterate, not yet
+of the shared window, and `memory` is the most history slots live at once
+while it steps (its depth plus the largest window it opens for one step). A step returns one flat record holding the next iterate, not yet
 evaluated, and the fields of its trace row. `_advance` is the only place
 that evaluates g on a produced iterate, checks that the image is finite and
 pushes the pair onto a window.
@@ -31,7 +32,7 @@ from __future__ import annotations
 import math
 import numbers
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Union
 
 import numpy as np
@@ -81,27 +82,40 @@ class Picard:
 
 @dataclass(frozen=True)
 class AA:
-    """Anderson acceleration with window size m (m + 1 stored iterates)."""
+    """Anderson acceleration with window size m (m + 1 stored iterates).
+
+    With an inner spec the node is the multiplicative composite AA(m,SPEC):
+    each outer step hands its result to a freshly started inner accelerator
+    for iter_n steps. iter_n = 0 degenerates to the plain outer accelerator.
+    """
 
     m: int
     damping: DampingPolicy = field(default_factory=DampingPolicy.none)
-
-    iter_scale = 1
+    inner: "AcceleratorSpec | None" = None
+    iter_n: int = 1
 
     def __post_init__(self):
         _check_size("window size", self.m)
+        _check_size("iter_n", self.iter_n)
+        if self.inner is None and self.iter_n != 1:
+            raise ValueError("iter_n applies to a composed AA(m,SPEC) only")
+        depth = self.m + 1
         # The optimized policy probes g at the averaged iterate and image.
-        _account(self, depth=self.m + 1, memory=self.m + 1,
-                 cost_per_step=3 if self.damping.kind == "optimized" else 1)
+        cost = 3 if self.damping.kind == "optimized" else 1
+        memory, iter_scale = depth, 1
+        inner = self.inner
+        if inner is not None and self.iter_n > 0:
+            # The inner window holds the start of each of the iter_n inner steps.
+            memory += inner.memory - max(inner.depth - self.iter_n, 0)
+            iter_scale += self.iter_n
+            cost += self.iter_n * inner.cost_per_step
+        _account(self, depth=depth, memory=memory, iter_scale=iter_scale, cost_per_step=cost)
 
     @property
     def label(self) -> str:
-        return self.label_with()
-
-    def label_with(self, inner: str = "") -> str:
-        """The grammar string with `inner` (",SPEC" or "") inside the parentheses."""
         policy = self.damping
         name = "AAoptD" if policy.kind == "optimized" else "AA"
+        inner = "" if self.inner is None else f",{self.inner.label}"
         text = f"{name}({self.m}{inner})"
         if policy.kind == "constant":
             text += f";beta={_num(policy.beta)}"
@@ -110,10 +124,29 @@ class AA:
                 text += f";eta={_num(policy.eta)}"
             if policy.safeguard != "off":
                 text += f";guard={policy.safeguard}"
+        if self.iter_n != 1:
+            text += f";iterN={self.iter_n}"
         return text
 
     def step(self, window: HistoryWindow, g) -> StepOutcome:
-        return aa_step(window.tail(self.depth), self.damping, g)
+        oo = aa_step(window.tail(self.depth), self.damping, g)
+        if self.inner is None or self.iter_n == 0:
+            return oo
+        x = oo.x_next
+        checks = oo.checks
+        inner_theta = None
+        inner_window = HistoryWindow(self.inner.depth, window.meter)
+        try:
+            for _ in range(self.iter_n):
+                _advance(inner_window, x, g)
+                io = self.inner.step(inner_window, g)
+                if inner_theta is None:
+                    inner_theta = io.theta
+                checks += io.checks
+                x = io.x_next
+        finally:
+            inner_window.close()
+        return StepOutcome(x, oo.beta, oo.theta, oo.alpha_abs_sum, checks, inner_theta)
 
 
 _PLAIN = AA(0)
@@ -166,59 +199,14 @@ class Additive:
         return StepOutcome(x_next, None, theta, abs_sum, lo.checks + ro.checks)
 
 
-@dataclass(frozen=True)
-class Multiplicative:
-    """Outer windowed accelerator chained with a fresh inner one per step.
-
-    iter_n = 0 degenerates to the plain outer accelerator.
-    """
-
-    outer: "AcceleratorSpec"
-    inner: "AcceleratorSpec"
-    iter_n: int = 1
-
-    def __post_init__(self):
-        if not isinstance(self.outer, AA):
-            raise ValueError("multiplicative composition needs a windowed outer accelerator")
-        _check_size("iter_n", self.iter_n)
-        inner = self.inner
-        # The inner window holds the start of each of the iter_n inner steps.
-        _account(self, depth=self.outer.depth,
-                 memory=self.outer.depth + inner.memory - max(inner.depth - self.iter_n, 0),
-                 iter_scale=1 + self.iter_n,
-                 cost_per_step=self.outer.cost_per_step + self.iter_n * inner.cost_per_step)
-
-    @property
-    def label(self) -> str:
-        if self.outer.damping.kind == "constant":
-            raise ValueError("constant-damped outer accelerators have no grammar form")
-        text = self.outer.label_with(f",{self.inner.label}")
-        if self.iter_n != 1:
-            text += f";iterN={self.iter_n}"
-        return text
-
-    def step(self, window: HistoryWindow, g) -> StepOutcome:
-        oo = self.outer.step(window, g)
-        if self.iter_n == 0:
-            return oo
-        x = oo.x_next
-        checks = oo.checks
-        inner_theta = None
-        inner_window = HistoryWindow(self.inner.depth, window.meter)
-        try:
-            for _ in range(self.iter_n):
-                _advance(inner_window, x, g)
-                io = self.inner.step(inner_window, g)
-                if inner_theta is None:
-                    inner_theta = io.theta
-                checks += io.checks
-                x = io.x_next
-        finally:
-            inner_window.close()
-        return StepOutcome(x, oo.beta, oo.theta, oo.alpha_abs_sum, checks, inner_theta)
+def Multiplicative(outer: AA, inner: "AcceleratorSpec", iter_n: int = 1) -> AA:
+    """The composite AA(m,SPEC): outer with the inner spec, run iter_n times per step."""
+    if not isinstance(outer, AA) or outer.inner is not None:
+        raise ValueError("multiplicative composition needs a windowed outer accelerator")
+    return replace(outer, inner=inner, iter_n=iter_n)
 
 
-AcceleratorSpec = Union[Picard, AA, Additive, Multiplicative]
+AcceleratorSpec = Union[Picard, AA, Additive]
 
 
 @dataclass

@@ -50,8 +50,6 @@ def test_spec_validation():
         Additive(AA(1), AA(2), 0.7, 0.2)
     with pytest.raises(ValueError):
         Additive(Picard(), AA(1), float("nan"), float("nan"))
-    with pytest.raises(ValueError):
-        Multiplicative(Picard(), AA(1))
     for iter_n in (-1, 1.5, False):
         with pytest.raises(ValueError):
             Multiplicative(AA(2), AA(1), iter_n=iter_n)
@@ -78,6 +76,17 @@ def test_spec_validation():
     Multiplicative(AA(3), Picard(), iter_n=0)
     Additive(Picard(), AA(2), 0.25, 0.75)
     RunConfig(max_iters=np.int64(5), max_fevals=np.int64(1))
+
+
+def test_composition_needs_a_plain_windowed_outer():
+    # iter_n has no grammar form without an inner spec
+    with pytest.raises(ValueError, match="composed"):
+        AA(2, iter_n=3)
+    # a composed outer would silently drop one of the two inner specs
+    for outer in (Picard(), Multiplicative(AA(2), AA(1))):
+        with pytest.raises(ValueError, match="windowed outer"):
+            Multiplicative(outer, AA(1))
+    assert Multiplicative(AA(2), AA(1), 3) == AA(2, DampingPolicy.none(), AA(1), 3)
 
 
 def test_counting_map():
@@ -231,6 +240,7 @@ def test_peak_window_slots_by_composition():
         (Multiplicative(AA(4), AA(2), iter_n=5), 8),
         (Multiplicative(AA(4), Picard()), 6),
         (Multiplicative(AA(1), AA(5), iter_n=0), 2),  # opens no inner window
+        (Multiplicative(AA(1), Multiplicative(AA(1), AA(1)), iter_n=0), 2),
         # a composite branch opens its inner window on top of the full shared one
         (Additive(Multiplicative(AA(2), AA(1)), AA(5)), 7),
         (Additive(AA(5), Multiplicative(AA(2), AA(1))), 7),

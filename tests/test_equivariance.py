@@ -41,8 +41,6 @@ _DAMPING = st.one_of(
     ),
 )
 _WINDOWED = st.builds(AA, st.integers(0, 5), _DAMPING)
-# The grammar has no form for a constant-damped outer accelerator.
-_OUTER = st.builds(AA, st.integers(0, 5), _DAMPING.filter(lambda d: d.kind != "constant"))
 _WEIGHT = st.sampled_from([0.5, 0.3, 0.8])
 
 
@@ -53,7 +51,7 @@ def _specs(depth):
     return st.one_of(
         sub,
         st.builds(lambda l, r, w: Additive(l, r, w, 1.0 - w), sub, sub, _WEIGHT),
-        st.builds(Multiplicative, _OUTER, sub, st.integers(0, 2)),
+        st.builds(Multiplicative, _WINDOWED, sub, st.integers(0, 2)),
     )
 
 

@@ -64,32 +64,36 @@ class _Reference:
         """Next iterate, not yet evaluated."""
         if isinstance(spec, Picard):
             return hist[-1][1]
-        if isinstance(spec, AA):
-            x_avg, gx_avg = self.mix(hist, spec.m)
-            d = spec.damping
-            if d.kind == "optimized":
-                r_p, r_q = x_avg - self.ev(x_avg), gx_avg - self.ev(gx_avg)
-                # beta minimizes ||r_p - beta (r_p - r_q)||, clamped to 1;
-                # a degenerate direction or a zero projection takes beta = 1
-                dn = np.linalg.norm(r_p - r_q)
-                beta = 1.0
-                if dn > 1e-14 * np.linalg.norm(r_p):
-                    beta = min(abs((r_p - r_q) @ r_p) / dn**2, 1.0) or 1.0
-                return x_avg + beta * (gx_avg - x_avg)
-            beta = d.beta if d.kind == "constant" else 1.0
-            return (1.0 - beta) * x_avg + beta * gx_avg
         if isinstance(spec, Additive):
             xl = self.step(spec.left, hist)
             xr = self.step(spec.right, hist)
             return spec.w_left * xl + spec.w_right * xr
+        x = self.aa(spec, hist)
+        if spec.inner is None:
+            return x
         # each inner step starts from the evaluated point before it
-        x = self.step(spec.outer, hist)
         inner, depth = [], _depth(spec.inner)
         for _ in range(spec.iter_n):
             self.push(inner, depth, x, self.ev(x))
             x = self.step(spec.inner, inner)
         self.live -= len(inner)
         return x
+
+    def aa(self, spec, hist):
+        """The outer Anderson step of an AA node, its inner spec aside."""
+        x_avg, gx_avg = self.mix(hist, spec.m)
+        d = spec.damping
+        if d.kind == "optimized":
+            r_p, r_q = x_avg - self.ev(x_avg), gx_avg - self.ev(gx_avg)
+            # beta minimizes ||r_p - beta (r_p - r_q)||, clamped to 1;
+            # a degenerate direction or a zero projection takes beta = 1
+            dn = np.linalg.norm(r_p - r_q)
+            beta = 1.0
+            if dn > 1e-14 * np.linalg.norm(r_p):
+                beta = min(abs((r_p - r_q) @ r_p) / dn**2, 1.0) or 1.0
+            return x_avg + beta * (gx_avg - x_avg)
+        beta = d.beta if d.kind == "constant" else 1.0
+        return (1.0 - beta) * x_avg + beta * gx_avg
 
     def run(self, spec, x0, steps):
         hist, depth = [], _depth(spec)
@@ -102,11 +106,9 @@ class _Reference:
 def _depth(spec):
     if isinstance(spec, Picard):
         return 1
-    if isinstance(spec, AA):
-        return spec.m + 1
     if isinstance(spec, Additive):
         return max(_depth(spec.left), _depth(spec.right))
-    return _depth(spec.outer)
+    return spec.m + 1
 
 
 PROBLEMS = {
@@ -148,6 +150,7 @@ NAMED = (
     "AA(3,AA(2));iterN=2",
     "AAoptD(2,ADD(AA(3),AA(0),0.25,0.75))",
     "AA(4,AA(2,AA(1)))",
+    "AA(3,AA(1));beta=0.5",
 )
 
 
