@@ -35,7 +35,6 @@ from .problems import (
     Grid2D,
     bratu_problem,
     convdiff_problem,
-    gmres_reference,
     tridiag_problem,
 )
 
@@ -60,7 +59,6 @@ __all__ = [
     "contraction_audit",
     "convdiff_problem",
     "dot",
-    "gmres_reference",
     "least_squares",
     "norm2",
     "optimized_beta",

@@ -66,12 +66,7 @@ from .composer import (
     run,
 )
 from .diagnostics import Termination, write_trace_csv
-from .problems import (
-    bratu_problem,
-    convdiff_problem,
-    gmres_reference,
-    tridiag_problem,
-)
+from .problems import bratu_problem, convdiff_problem, tridiag_problem
 
 SUMMARY_COLUMNS = ("label", "termination", "iters", "fevals", "final_res", "wall_ns", "memory_vectors")
 
@@ -429,11 +424,6 @@ def _check_memory():
         assert meter.peak == want == spec.memory, (spec, meter.peak, want)
 
 
-def _check_gmres():
-    xs, rnorms = gmres_reference(lambda v: v.copy(), np.array([3.0, -1.0]), np.zeros(2), 2)
-    assert rnorms[-1] <= 1e-12 and np.allclose(xs[-1], [3.0, -1.0])
-
-
 def _check_grammar_roundtrip():
     for text in EXAMPLE_SPECS:
         assert render_spec(parse_spec(text)) == text, text
@@ -444,7 +434,6 @@ _CHECKS = (
     ("evaluation budgets per step", _check_feval_budget),
     ("evaluation budget is a hard cap", _check_hard_budget),
     ("window memory accounting", _check_memory),
-    ("gmres reference sanity", _check_gmres),
     ("solver grammar round-trip", _check_grammar_roundtrip),
 )
 

@@ -1,4 +1,4 @@
-"""Benchmark fixed-point problems and a full-memory GMRES reference.
+"""Benchmark fixed-point problems: Bratu, convection-diffusion, tridiagonal.
 
 The PDE problems discretize on a uniform interior grid with h = 1/(N+1)
 and keep the discrete equations in h^2-scaled stencil form, so the plain
@@ -12,6 +12,7 @@ whose fixed points solve operator(u) = rhs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -22,11 +23,7 @@ from .kernel import norm2
 
 @dataclass
 class Grid2D:
-    """Interior nodes of the unit square, n_side per direction.
-
-    Lexicographic row-major indexing: node (i, j) with zero-based interior
-    coordinates (row i along y, column j along x) maps to i * n_side + j.
-    """
+    """Interior nodes of the unit square, n_side per direction."""
 
     n_side: int
 
@@ -42,13 +39,13 @@ class Grid2D:
     def unknowns(self) -> int:
         return self.n_side * self.n_side
 
-    def index(self, i: int, j: int) -> int:
-        if not (0 <= i < self.n_side and 0 <= j < self.n_side):
-            raise ValueError(f"interior node ({i}, {j}) out of range")
-        return i * self.n_side + j
-
     def mesh(self) -> tuple[np.ndarray, np.ndarray]:
-        """Interior coordinate arrays (X, Y), each shaped (n_side, n_side)."""
+        """Interior coordinate arrays (X, Y), each shaped (n_side, n_side).
+
+        X[i, j] = (i + 1) h and Y[i, j] = (j + 1) h: x varies along axis 0
+        and y along axis 1. Raveled row-major, node (i, j) is entry
+        i * n_side + j, as in the grid problems' vectors.
+        """
         pts = (np.arange(self.n_side) + 1.0) * self.h
         xgrid, ygrid = np.meshgrid(pts, pts, indexing="ij")
         return xgrid, ygrid
@@ -78,9 +75,6 @@ class FixedPointProblem:
             gap = norm2(self.g(self.known_solution) - self.known_solution)
             if not gap <= 1e-10:
                 raise ValueError(f"known_solution is not a fixed point (residual {gap:.3e})")
-
-    def residual(self, x: np.ndarray) -> np.ndarray:
-        return self.g(x) - x
 
 
 def _stencil_views(u: np.ndarray, n_side: int):
@@ -122,8 +116,8 @@ def bratu_problem(n_side: int, lam: float = 6.0) -> FixedPointProblem:
     """
     if n_side < 2:
         raise ValueError(f"n_side must be >= 2, got {n_side}")
-    if lam < 0.0:
-        raise ValueError(f"lam must be >= 0, got {lam}")
+    if not 0.0 <= lam < math.inf:
+        raise ValueError(f"lam must be finite and >= 0, got {lam}")
     grid = Grid2D(n_side)
     h2 = grid.h * grid.h
     n = grid.unknowns
@@ -161,8 +155,10 @@ def convdiff_problem(
     """
     if scheme not in ("centered", "upwind"):
         raise ValueError(f"scheme must be 'centered' or 'upwind', got {scheme!r}")
-    if eps <= 0.0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    if not 0.0 < eps < math.inf:
+        raise ValueError(f"eps must be finite and positive, got {eps}")
+    if not math.isfinite(react):
+        raise ValueError(f"react must be finite, got {react}")
     if n_side < 2:
         raise ValueError(f"n_side must be >= 2, got {n_side}")
     grid = Grid2D(n_side)
@@ -248,74 +244,3 @@ def tridiag_problem(n: int = 100) -> FixedPointProblem:
         params={"n": n, "b": b, "a_apply": a_apply, "operator_diag": 2.0},
         known_solution=known,
     )
-
-
-def gmres_reference(
-    a_apply: Callable[[np.ndarray], np.ndarray],
-    b: np.ndarray,
-    x0: np.ndarray,
-    iters: int,
-) -> tuple[list[np.ndarray], list[float]]:
-    """Full-memory GMRES with Givens rotations, for equivalence checks.
-
-    Returns the iterates x_0 .. x_K and the true residual norms
-    ||b - A x_k||_2, recomputed per iterate. Stops early on happy
-    breakdown, where the Krylov space contains the exact solution.
-    """
-    b = np.asarray(b, dtype=float)
-    x0 = np.asarray(x0, dtype=float)
-    if b.ndim != 1 or x0.shape != b.shape:
-        raise ValueError("b and x0 must be matching 1-D vectors")
-    n = b.shape[0]
-    if not 1 <= iters <= n:
-        raise ValueError(f"iters must be in [1, {n}], got {iters}")
-
-    xs = [x0.copy()]
-    r0 = b - a_apply(x0)
-    beta = float(np.linalg.norm(r0))
-    rnorms = [beta]
-    if beta == 0.0:
-        return xs, rnorms
-
-    basis = np.zeros((n, iters + 1))
-    basis[:, 0] = r0 / beta
-    rmat = np.zeros((iters + 1, iters))
-    cs = np.zeros(iters)
-    sn = np.zeros(iters)
-    gvec = np.zeros(iters + 1)
-    gvec[0] = beta
-
-    for j in range(iters):
-        w = a_apply(basis[:, j])
-        scale = float(np.linalg.norm(w))
-        col = np.zeros(j + 2)
-        for i in range(j + 1):  # modified Gram-Schmidt
-            col[i] = float(np.dot(basis[:, i], w))
-            w = w - col[i] * basis[:, i]
-        hsub = float(np.linalg.norm(w))
-        col[j + 1] = hsub
-        happy = hsub <= 1e-14 * max(scale, 1e-300)
-
-        for i in range(j):
-            tmp = cs[i] * col[i] + sn[i] * col[i + 1]
-            col[i + 1] = -sn[i] * col[i] + cs[i] * col[i + 1]
-            col[i] = tmp
-        denom = float(np.hypot(col[j], col[j + 1]))
-        if denom == 0.0:
-            cs[j], sn[j] = 1.0, 0.0
-        else:
-            cs[j], sn[j] = col[j] / denom, col[j + 1] / denom
-        col[j] = denom
-        col[j + 1] = 0.0
-        rmat[: j + 2, j] = col
-        gvec[j + 1] = -sn[j] * gvec[j]
-        gvec[j] = cs[j] * gvec[j]
-
-        y = np.linalg.solve(rmat[: j + 1, : j + 1], gvec[: j + 1])
-        x = x0 + basis[:, : j + 1] @ y
-        xs.append(x)
-        rnorms.append(float(np.linalg.norm(b - a_apply(x))))
-        if happy or j + 1 >= iters:
-            break
-        basis[:, j + 1] = w / hsub
-    return xs, rnorms

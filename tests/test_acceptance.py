@@ -26,9 +26,10 @@ from anderkit.problems import (
     FixedPointProblem,
     bratu_problem,
     convdiff_problem,
-    gmres_reference,
     tridiag_problem,
 )
+
+from gmres_oracle import gmres_reference
 
 # every run() trace produced for criteria 1-5 lands here for criterion 6
 ALL_RUNS: list[tuple[str, object]] = []

@@ -679,9 +679,10 @@ def test_main_list_solvers(capsys):
 
 def test_main_check_passes(capsys):
     assert main(["check"]) == 0
-    out = capsys.readouterr().out
-    assert "FAIL" not in out
-    assert out.count("ok ") >= 6
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(cli._CHECKS)
+    for line, (name, _) in zip(lines, cli._CHECKS):
+        assert line.startswith(f"ok   {name} ("), line
 
 
 def test_main_check_reports_a_failing_check_and_runs_the_rest(capsys, monkeypatch):

@@ -1,7 +1,8 @@
-"""scipy is loaded only by the solves that need LAPACK.
+"""What a fresh interpreter imports: scipy only for the solves that need
+LAPACK, and nothing from tests/.
 
-The pytest process has scipy loaded already, so each check runs in a fresh
-interpreter and reports what it saw as one JSON line on stdout.
+The pytest process has scipy loaded and tests/ on sys.path already, so each
+check runs in a fresh interpreter and reports what it saw.
 """
 
 import json
@@ -110,3 +111,18 @@ def test_a_deep_window_loads_scipy_before_the_first_evaluation(tmp_path):
     )
     assert seen["picard"] == ["failed", 0, "RuntimeError: boom", False]
     assert seen["deep"] == ["failed", 0, "RuntimeError: boom", True]
+
+
+def test_check_runs_with_only_the_library_on_the_path(tmp_path):
+    # tests/ holds test oracles (gmres_oracle.py) that the library must not import
+    proc = subprocess.run(
+        [sys.executable, "-m", "anderkit.cli", "check"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=SRC),
+        cwd=tmp_path,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "FAIL" not in proc.stdout
+    assert "Traceback" not in proc.stderr
