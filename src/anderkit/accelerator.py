@@ -59,6 +59,15 @@ _DEGENERATE_RTOL = 1e-14
 # repeated (Daniel, Gragg, Kaufman & Stewart, 1976).
 _REORTHOGONALIZE_BELOW = 1.0 / math.sqrt(2.0)
 
+# A one-entry window mixes nothing: alpha = [1], and theta and both
+# coefficient sums are 1.0. Every such step (each Picard step, the first
+# step of each fresh inner window) shares these objects, so its trace row
+# holds none of its own. The unit alpha is read-only because it is shared.
+_UNIT_ALPHA = np.ones(1)
+_UNIT_ALPHA.flags.writeable = False
+_ONE = 1.0
+_UNIT_CHECKS = ((_ONE, _ONE),)
+
 
 class DivergedError(RuntimeError):
     """Raised when a step or an evaluation leaves the finite float range."""
@@ -342,7 +351,8 @@ class MixingResult:
     """Coefficients and averages of one mixing solve.
 
     alpha is ordered oldest entry first and sums to one; mixed_norm is
-    ||sum_i alpha_i f_i||_2, the residual norm left after mixing.
+    ||sum_i alpha_i f_i||_2, the residual norm left after mixing. A
+    one-entry window's alpha is one shared, read-only [1.0].
     """
 
     alpha: np.ndarray
@@ -391,7 +401,7 @@ def solve_mixing_coefficients(window: HistoryWindow) -> MixingResult:
     newest = window.newest()
     if len(window) == 1:
         return MixingResult(
-            alpha=np.array([1.0]), x_avg=newest.x, gx_avg=newest.gx, mixed_norm=newest.f_norm
+            alpha=_UNIT_ALPHA, x_avg=newest.x, gx_avg=newest.gx, mixed_norm=newest.f_norm
         )
     q, r = window.factor
     gamma = least_squares(r, window.qtf())
@@ -488,4 +498,11 @@ def aa_step(
 
     if checked and not np.isfinite(x_next).all():
         raise DivergedError("next iterate left the finite range")
-    return StepOutcome(x_next, beta, theta, mix.alpha_abs_sum, ((theta, mix.alpha_sum),))
+    # A field equal to 1.0 is the shared 1.0, and a check equal to (1.0, 1.0)
+    # the shared tuple: the same bits, held once for every row.
+    theta = _ONE if theta == 1.0 else theta
+    abs_sum = mix.alpha_abs_sum
+    abs_sum = _ONE if abs_sum == 1.0 else abs_sum
+    alpha_sum = mix.alpha_sum
+    checks = _UNIT_CHECKS if theta == alpha_sum == 1.0 else ((theta, alpha_sum),)
+    return StepOutcome(x_next, beta, theta, abs_sum, checks)

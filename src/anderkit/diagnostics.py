@@ -142,8 +142,26 @@ def write_trace_csv(trace: ConvergenceTrace, path, iter_scale: int = 1) -> None:
         )
 
 
+def _repeat_float_reader():
+    """float(cell), or None for an empty cell; a cell equal to the last one reuses its float."""
+    text, value = "", None
+
+    def read(cell: str) -> float | None:
+        nonlocal text, value
+        if cell != text:
+            text, value = cell, float(cell) if cell else None
+        return value
+
+    return read
+
+
 def read_trace_rows(path) -> list[TraceRow]:
-    """Read rows written by write_trace_csv; empty fields become None."""
+    """Read rows written by write_trace_csv; empty fields become None.
+
+    Equal consecutive beta, theta or alpha_abs_sum cells share one float,
+    so a run of Picard rows holds one 1.0 per column, not one per row.
+    """
+    beta, theta, alpha_abs_sum = (_repeat_float_reader() for _ in range(3))
     rows = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -158,9 +176,9 @@ def read_trace_rows(path) -> list[TraceRow]:
                     k=int(rec[0]),
                     fevals=int(rec[1]),
                     res_norm=float(rec[2]),
-                    beta=float(rec[3]) if rec[3] else None,
-                    theta=float(rec[4]) if rec[4] else None,
-                    alpha_abs_sum=float(rec[5]) if rec[5] else None,
+                    beta=beta(rec[3]),
+                    theta=theta(rec[4]),
+                    alpha_abs_sum=alpha_abs_sum(rec[5]),
                     wall_ns=int(rec[6]),
                 )
             )

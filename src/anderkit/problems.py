@@ -78,11 +78,13 @@ class FixedPointProblem:
 
 
 def _stencil_views(u: np.ndarray, n_side: int):
-    """Centre and four neighbours of u as shifts of one flat padded grid.
+    """Centre and north, south, east, west neighbours of u as shifts of one padded grid.
 
     u is copied into a zero-bordered (n_side + 2)^2 grid, flattened. Each
     view spans the interior rows, border columns included, so the five are
-    equal-length contiguous shifts (0, +1, -1, +w, -w for width w); a
+    equal-length contiguous shifts (0, +1, -1, +w, -w for width w). As in
+    mesh(), y runs along axis 1 and x along axis 0: the +1 shift is the
+    north neighbour (y + h) and the +w shift the east one (x + h). A
     result computed over them keeps its interior as [:, 1:-1] of the
     (n_side, w) reshape, and its border columns read only the zero border
     and one interior neighbour.
@@ -99,13 +101,13 @@ def _interior(a: np.ndarray, n_side: int) -> np.ndarray:
     return a.reshape(n_side, n_side + 2)[:, 1:-1]
 
 
-def _laplacian(centre, east, west, north, south) -> np.ndarray:
-    """4 u - east - west - north - south, left to right, in one new array."""
+def _laplacian(centre, north, south, east, west) -> np.ndarray:
+    """4 u - north - south - east - west, left to right, in one new array."""
     lap = 4.0 * centre
-    lap -= east
-    lap -= west
     lap -= north
     lap -= south
+    lap -= east
+    lap -= west
     return lap
 
 
@@ -171,19 +173,19 @@ def convdiff_problem(
 
     def g(u):
         u = np.asarray(u, dtype=float)
-        centre, east, west, north, south = _stencil_views(u, n_side)
-        lap = _laplacian(centre, east, west, north, south)
+        centre, north, south, east, west = _stencil_views(u, n_side)
+        lap = _laplacian(centre, north, south, east, west)
         # u + (rhs - (eps lap + conv + react h^2 u^2)) / diag, in place, with
         # the operands and the order of that expression.
         if scheme == "centered":
-            conv = east - west
-            conv += north
-            conv -= south
+            conv = north - south
+            conv += east
+            conv -= west
             conv *= 0.5 * h
         else:
             conv = 2.0 * centre
-            conv -= west
             conv -= south
+            conv -= west
             conv *= h
         with np.errstate(over="ignore", invalid="ignore"):
             lap *= eps

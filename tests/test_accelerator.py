@@ -1,5 +1,7 @@
 """History window, mixing solve, damping policies, single Anderson steps."""
 
+import gc
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -19,7 +21,9 @@ from anderkit.accelerator import (
     safeguard_beta,
     solve_mixing_coefficients,
 )
+from anderkit.composer import AA, Additive, Multiplicative, Picard, RunConfig, run
 from anderkit.kernel import least_squares, norm2
+from anderkit.problems import bratu_problem
 
 
 # ---- window bookkeeping ----
@@ -169,6 +173,8 @@ def test_mixing_single_entry_is_trivial():
     w.push(np.array([1.0, 2.0]), np.array([2.0, 2.5]))
     mix = solve_mixing_coefficients(w)
     assert np.array_equal(mix.alpha, [1.0])
+    # Every one-entry mix returns the same [1.0], so no caller may write to it.
+    assert not mix.alpha.flags.writeable
     assert np.array_equal(mix.x_avg, [1.0, 2.0])
     assert np.array_equal(mix.gx_avg, [2.0, 2.5])
     assert mix.mixed_norm == pytest.approx(norm2(np.array([1.0, 0.5])))
@@ -541,6 +547,35 @@ def test_window_stores_the_dx_ring_and_the_factor_and_its_tails_store_nothing(ca
         solve_mixing_coefficients(t)
         views = [a for a in vars(t).values() if isinstance(a, np.ndarray)] + list(t.factor or ())
         assert _owned_floats(t) == 0 and all(a.base is not None for a in views)
+
+
+def _peak_vectors(spec, problem, steps=60):
+    """Peak traced bytes of a steps-long run after a warm-up, in n-vectors."""
+    config = RunConfig(tol=1e-300, max_iters=steps)
+    run(spec, problem, problem.default_start, config)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        trace = run(spec, problem, problem.default_start, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert trace.iters == steps, spec
+    return peak / (8 * problem.n)
+
+
+def test_a_window_slot_costs_about_three_vectors_in_every_form():
+    # The bytes a run really holds, numpy's buffers included: above Picard,
+    # each of m slots costs the two mirrored dx rows and one column of Q,
+    # plus a share of R and of a mix's transient vectors (about 3.2
+    # n-vectors at m = 20). The AA(1) parts of AA(m,AA(1)) and
+    # ADD(AA(m),AA(1)) add no vector per slot.
+    problem = bratu_problem(64)
+    base = _peak_vectors(Picard(), problem)
+    m = 20
+    for spec in (AA(m), Multiplicative(AA(m), AA(1)), Additive(AA(m), AA(1))):
+        per_slot = (_peak_vectors(spec, problem) - base) / m
+        assert 3.0 < per_slot < 3.4, (spec.label, per_slot)
 
 
 def _refuse_qr_delete(*args, **kwargs):

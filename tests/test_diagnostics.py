@@ -1,7 +1,9 @@
 """Traces, audits, memory formulas, csv persistence."""
 
 import csv
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from anderkit.diagnostics import (
     read_trace_rows,
     write_trace_csv,
 )
-from anderkit.problems import FixedPointProblem
+from anderkit.problems import FixedPointProblem, tridiag_problem
 
 
 def affine_problem(seed=0, n=8, scale=0.7):
@@ -167,6 +169,62 @@ def test_trace_csv_round_trip(tmp_path):
         assert got.wall_ns == want.wall_ns
     # the seed row has empty diagnostic cells
     assert rows[0].beta is None and rows[0].theta is None
+
+
+def test_read_trace_rows_shares_a_float_only_with_an_equal_cell_above(tmp_path):
+    path = tmp_path / "cells.csv"
+    cells = ["", "0.5", "0.5", "", "0.5", "-0", "0", "0"]
+    body = "".join(f"{k},{k + 1},1,{c},{c},{c},{k}\n" for k, c in enumerate(cells))
+    path.write_text(",".join(TRACE_COLUMNS) + "\n" + body, encoding="utf-8")
+    rows = read_trace_rows(path)
+    for name in ("beta", "theta", "alpha_abs_sum"):
+        got = [getattr(r, name) for r in rows]
+        assert got == [None, 0.5, 0.5, None, 0.5, 0.0, 0.0, 0.0], name
+        # Equal text above shares the float; "-0" and "0" are parsed apart.
+        assert got[2] is got[1] and got[4] is not got[1] and got[7] is got[6], name
+        assert [math.copysign(1.0, v) for v in got[5:]] == [-1.0, 1.0, 1.0], name
+
+
+def _bytes_per_row(make_rows, short=200, long=800):
+    """Bytes that make_rows(steps) keeps per row, from two lengths, so fixed costs cancel."""
+    held = []
+    for steps in (short, long):
+        make_rows(short)  # warm-up: first-call caches stay out of the count
+        gc.collect()
+        tracemalloc.start()
+        try:
+            rows = make_rows(steps)
+            gc.collect()
+            held.append(tracemalloc.get_traced_memory()[0])
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == steps + 1
+        del rows
+    return (held[1] - held[0]) / (long - short)
+
+
+def test_picard_rows_share_their_constant_fields_and_stay_small(tmp_path):
+    # Each Picard step mixes a one-entry window: theta, ||alpha||_1 and the
+    # check pair (theta, sum alpha) are 1.0 on every row and are held once.
+    # A row kept about 400 B from run() and 290 B from read-back when each
+    # held its own copies.
+    p = tridiag_problem(30)
+
+    def solve(steps):
+        return run(Picard(), p, p.default_start, RunConfig(tol=1e-300, max_iters=steps))
+
+    trace = solve(20)
+    first = trace.rows[1]
+    assert first.theta == first.alpha_abs_sum == 1.0 and first.mixing_checks == ((1.0, 1.0),)
+    for row in trace.rows[2:]:
+        assert row.theta is first.theta and row.alpha_abs_sum is first.alpha_abs_sum
+        assert row.mixing_checks is first.mixing_checks
+    assert _bytes_per_row(lambda steps: solve(steps).rows) <= 240
+
+    paths = {steps: tmp_path / f"picard-{steps}.csv" for steps in (200, 800)}
+    for steps, path in paths.items():
+        write_trace_csv(solve(steps), path)
+    assert _bytes_per_row(lambda steps: read_trace_rows(paths[steps])) <= 230
 
 
 def test_trace_csv_iter_scale(tmp_path):

@@ -10,6 +10,8 @@ from anderkit.kernel import norm2
 from anderkit.problems import (
     FixedPointProblem,
     Grid2D,
+    _interior,
+    _stencil_views,
     bratu_problem,
     convdiff_problem,
     tridiag_problem,
@@ -66,7 +68,7 @@ def convdiff_dense_operator(n_side: int, eps: float, scheme: str = "centered") -
         for j in range(n_side):
             row = i * n_side + j
             a[row, row] = diag
-            for di, dj, coeff in ((0, 1, east), (0, -1, west), (1, 0, north), (-1, 0, south)):
+            for di, dj, coeff in ((0, 1, north), (0, -1, south), (1, 0, east), (-1, 0, west)):
                 ii, jj = i + di, j + dj
                 if 0 <= ii < n_side and 0 <= jj < n_side:
                     a[row, ii * n_side + jj] = coeff
@@ -96,6 +98,27 @@ def test_grid_mesh_excludes_boundary():
     # x varies along axis 0, y along axis 1
     assert np.allclose(xg[:, 0], xg[:, -1])
     assert np.allclose(yg[0, :], yg[-1, :])
+
+
+def test_stencil_views_are_named_for_the_axes_of_mesh():
+    # On u = X a view that moves along x (axis 0) differs from the centre by
+    # +-h and one that moves along y (axis 1) equals it; on u = Y the roles
+    # swap. Rows and columns next to the zero border are left out.
+    n = 5
+    grid = Grid2D(n)
+    h = grid.h
+    xg, yg = grid.mesh()
+    inner = (slice(1, -1), slice(1, -1))
+    for u, along, across in ((xg, ("east", "west"), ("north", "south")),
+                             (yg, ("north", "south"), ("east", "west"))):
+        names = ("centre", "north", "south", "east", "west")
+        views = {k: _interior(v, n)[inner] for k, v in zip(names, _stencil_views(u.ravel(), n))}
+        centre = views["centre"]
+        assert np.array_equal(centre, u[inner])
+        assert np.allclose(views[along[0]] - centre, h, rtol=0.0, atol=1e-15)
+        assert np.allclose(views[along[1]] - centre, -h, rtol=0.0, atol=1e-15)
+        assert np.array_equal(views[across[0]], centre)
+        assert np.array_equal(views[across[1]], centre)
 
 
 # ---- problem container ----
@@ -295,16 +318,17 @@ def _padded_g(problem):
     def g(u):
         u2d = u.reshape(n_side, n_side)
         p = np.pad(u2d, 1)
-        east, west, north, south = p[1:-1, 2:], p[1:-1, :-2], p[2:, 1:-1], p[:-2, 1:-1]
-        lap = 4.0 * u2d - east - west - north - south
+        # x runs along axis 0 and y along axis 1, as in Grid2D.mesh().
+        north, south, east, west = p[1:-1, 2:], p[1:-1, :-2], p[2:, 1:-1], p[:-2, 1:-1]
+        lap = 4.0 * u2d - north - south - east - west
         if problem.label == "bratu":
             with np.errstate(over="ignore", invalid="ignore"):
                 source = prm["lam"] * h2 * np.exp(u2d)
             return u + (source - lap).ravel() / 4.0
         if prm["scheme"] == "centered":
-            conv = 0.5 * h * (east - west + north - south)
+            conv = 0.5 * h * (north - south + east - west)
         else:
-            conv = h * (2.0 * u2d - west - south)
+            conv = h * (2.0 * u2d - south - west)
         rhs = prm["rhs"].reshape(n_side, n_side)
         with np.errstate(over="ignore", invalid="ignore"):
             resid = rhs - (prm["eps"] * lap + conv + prm["react"] * h2 * u2d * u2d)
