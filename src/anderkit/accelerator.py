@@ -14,8 +14,9 @@ the whole block every step (Daniel, Gragg, Kaufman & Stewart, 1976). The
 factor is all the window keeps of dF: the averages are x_k - dX gamma and
 f_k - Q (R gamma). A window therefore holds only its newest (x_k, g(x_k),
 f_k), the factor, and the difference block dX in a mirrored ring buffer:
-each column is written at its ring row and again one ring length further
-down, so the live block, oldest first, is always one contiguous slice.
+each column is written at its ring row and, where a live block can reach
+it, again one ring length further down, so the live block, oldest first,
+is always one contiguous slice.
 
 The factor is valid as soon as the window holds one difference. A column
 within RANK_TOL of the span of the older ones (a repeated iterate, an
@@ -164,9 +165,11 @@ class HistoryWindow:
     The older iterates live on only as the p = len - 1 consecutive
     differences dx_i = x_{i+1} - x_i, in a ring buffer of capacity - 1
     slots, and df_i = f_{i+1} - f_i, as a thin QR factor of the df block,
-    set whenever p >= 1. Each dx column is written twice, at ring row r and
-    at r + capacity - 1, so the live columns, oldest first, are always the
-    contiguous rows [_head, _head + p) and every reader takes a slice. Q's
+    set whenever p >= 1. Each dx column is written at ring row r and again
+    at r + capacity - 1 where that row exists, so the live columns, oldest
+    first, are always the contiguous rows [_head, _head + p) and every
+    reader takes a slice. As _head < capacity - 1 and p <= capacity - 1,
+    2 capacity - 3 rows hold every row a live block reads. Q's
     columns are orthonormal or exactly zero, and a zero column has a zero
     row in R; QR is the df block, which no array holds.
 
@@ -236,7 +239,7 @@ class HistoryWindow:
         slots = self.capacity - 1
         if self._dx is None:
             n = entry.x.shape[0]
-            self._dx = np.empty((2 * slots, n))
+            self._dx = np.empty((2 * slots - 1, n))
             # Rows past n stay zero: qr_delete rotates a Q with more columns
             # than rows wrongly, and a window deeper than n would give one.
             self._q = np.zeros((max(n, slots), slots), order="F")
@@ -245,7 +248,7 @@ class HistoryWindow:
         if evict:
             self._head = (self._head + 1) % slots
         row = (self._head + p - 1) % slots
-        # Both copies of the ring row, rows row and row + slots, in one write.
+        # The ring row and, where a live block can reach it, its mirror row + slots.
         np.subtract(entry.x, prev.x, out=self._dx[row::slots])
         # A one-column factor is not downdated: the append overwrites it.
         if evict and p > 1:
@@ -479,10 +482,11 @@ def aa_step(
 
     if policy.kind == "optimized":
         gp = g(mix.x_avg)
+        # Formed before the second probe, which may write over gp's buffer.
+        r_p = mix.x_avg - gp if np.isfinite(gp).all() else None
         gq = g(mix.gx_avg)
-        if not (np.isfinite(gp).all() and np.isfinite(gq).all()):
+        if r_p is None or not np.isfinite(gq).all():
             raise DivergedError("damping probe evaluations left the finite range")
-        r_p = mix.x_avg - gp
         r_q = mix.gx_avg - gq
         beta = safeguard_beta(optimized_beta(r_p, r_q), policy)
         x_next = mix.x_avg + beta * (mix.gx_avg - mix.x_avg)

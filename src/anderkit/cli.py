@@ -7,6 +7,9 @@ Solver grammar::
           | "AAoptD(" INT ["," SPEC] ")"
           | "ADD(" SPEC "," SPEC ["," FLOAT "," FLOAT] ")"
 
+"picard" is AA(0), plain fixed-point iteration: both parse to one node,
+which renders as "picard" and takes AA(0)'s suffixes.
+
 A postfix suffix list may follow any SPEC, naming each suffix at most once:
 ";beta=F" turns AA(m) into a constant-damped accelerator, and damps the
 outer step of a composed AA(m,SPEC); ";eta=F" and ";guard=floor|reflect"

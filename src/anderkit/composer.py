@@ -1,8 +1,9 @@
 """Accelerator composition algebra and the fixed-point runner.
 
-A solver is described by a small recursive spec: Picard, a windowed
-Anderson accelerator AA, or an Additive blend of two specs over one shared
-iterate history. An AA node with an inner spec is the multiplicative
+A solver is described by a small recursive spec of two node classes: a
+windowed Anderson accelerator AA, or an Additive blend of two specs over
+one shared iterate history. AA(0) is plain fixed-point iteration, which
+Picard() builds. An AA node with an inner spec is the multiplicative
 composite AA(m,SPEC): each outer Anderson step hands its result to a freshly
 started inner accelerator for iter_n steps. Multiplicative(outer, inner,
 iter_n) builds one.
@@ -17,8 +18,8 @@ pushes the pair onto a window.
 Each node also describes itself: `label` is its canonical grammar string,
 `iter_scale` the sub-steps one step counts for in paper-style iteration
 plots, and `cost_per_step` the g evaluations one run() step spends on it,
-the evaluation of its result included. These four numbers are set once,
-when a node is built, from its fields and its children's numbers, so
+the evaluation of its result included. These, depth and memory are set
+once, when a node is built, from its fields and its children's values, so
 reading one never walks the tree.
 
 run() records the seed as step 0, a step whose outcome is x0 itself, and
@@ -70,23 +71,14 @@ def _account(node, **values) -> None:
 
 
 @dataclass(frozen=True)
-class Picard:
-    """Plain fixed-point iteration x <- g(x)."""
-
-    depth = memory = iter_scale = cost_per_step = 1
-    label = "picard"
-
-    def step(self, window: HistoryWindow, g) -> StepOutcome:
-        return _PLAIN.step(window, g)
-
-
-@dataclass(frozen=True)
 class AA:
     """Anderson acceleration with window size m (m + 1 stored iterates).
 
     With an inner spec the node is the multiplicative composite AA(m,SPEC):
     each outer step hands its result to a freshly started inner accelerator
     for iter_n steps. iter_n = 0 degenerates to the plain outer accelerator.
+    AA(0) mixes a one-entry window, which is plain fixed-point iteration
+    (Walker & Ni, 2011); undamped and uncomposed, it is labelled picard.
     """
 
     m: int
@@ -99,34 +91,29 @@ class AA:
         _check_size("iter_n", self.iter_n)
         if self.inner is None and self.iter_n != 1:
             raise ValueError("iter_n applies to a composed AA(m,SPEC) only")
+        policy, inner = self.damping, self.inner
         depth = self.m + 1
         # The optimized policy probes g at the averaged iterate and image.
-        cost = 3 if self.damping.kind == "optimized" else 1
+        cost = 3 if policy.kind == "optimized" else 1
         memory, iter_scale = depth, 1
-        inner = self.inner
         if inner is not None and self.iter_n > 0:
             # The inner window holds the start of each of the iter_n inner steps.
             memory += inner.memory - max(inner.depth - self.iter_n, 0)
             iter_scale += self.iter_n
             cost += self.iter_n * inner.cost_per_step
-        _account(self, depth=depth, memory=memory, iter_scale=iter_scale, cost_per_step=cost)
-
-    @property
-    def label(self) -> str:
-        policy = self.damping
-        name = "AAoptD" if policy.kind == "optimized" else "AA"
-        inner = "" if self.inner is None else f",{self.inner.label}"
-        text = f"{name}({self.m}{inner})"
+        label = "AAoptD" if policy.kind == "optimized" else "AA"
+        label += f"({self.m})" if inner is None else f"({self.m},{inner.label})"
         if policy.kind == "constant":
-            text += f";beta={_num(policy.beta)}"
+            label += f";beta={_num(policy.beta)}"
         elif policy.kind == "optimized":
             if policy.safeguard != "off" or policy.eta != DampingPolicy.eta:
-                text += f";eta={_num(policy.eta)}"
+                label += f";eta={_num(policy.eta)}"
             if policy.safeguard != "off":
-                text += f";guard={policy.safeguard}"
+                label += f";guard={policy.safeguard}"
         if self.iter_n != 1:
-            text += f";iterN={self.iter_n}"
-        return text
+            label += f";iterN={self.iter_n}"
+        _account(self, depth=depth, memory=memory, iter_scale=iter_scale, cost_per_step=cost,
+                 label="picard" if label == "AA(0)" else label)
 
     def step(self, window: HistoryWindow, g) -> StepOutcome:
         oo = aa_step(window.tail(self.depth), self.damping, g)
@@ -149,9 +136,6 @@ class AA:
         return StepOutcome(x, oo.beta, oo.theta, oo.alpha_abs_sum, checks, inner_theta)
 
 
-_PLAIN = AA(0)
-
-
 @dataclass(frozen=True)
 class Additive:
     """Convex blend of two accelerator steps over one shared history.
@@ -165,8 +149,6 @@ class Additive:
     w_left: float = 0.5
     w_right: float = 0.5
 
-    iter_scale = 2
-
     def __post_init__(self):
         # Written so that NaN weights (or inf - inf) fail the check too.
         if not abs(self.w_left + self.w_right - 1.0) <= 1e-12:
@@ -174,19 +156,15 @@ class Additive:
                 f"weights must sum to 1, got {self.w_left} + {self.w_right}"
             )
         depth = max(self.left.depth, self.right.depth)
+        weights = "" if (self.w_left, self.w_right) == (0.5, 0.5) else (
+            f",{_num(self.w_left)},{_num(self.w_right)}")
         # The branches step in turn, so only the larger of their transient
         # windows is live on top of the shared one. Each branch's cost counts
         # the evaluation of its own result; only the blend's is made.
-        _account(self, depth=depth,
+        _account(self, depth=depth, iter_scale=2,
                  memory=depth + max(b.memory - b.depth for b in (self.left, self.right)),
-                 cost_per_step=self.left.cost_per_step + self.right.cost_per_step - 1)
-
-    @property
-    def label(self) -> str:
-        text = f"ADD({self.left.label},{self.right.label}"
-        if (self.w_left, self.w_right) != (0.5, 0.5):
-            text += f",{_num(self.w_left)},{_num(self.w_right)}"
-        return text + ")"
+                 cost_per_step=self.left.cost_per_step + self.right.cost_per_step - 1,
+                 label=f"ADD({self.left.label},{self.right.label}{weights})")
 
     def step(self, window: HistoryWindow, g) -> StepOutcome:
         lo = self.left.step(window, g)
@@ -199,6 +177,11 @@ class Additive:
         return StepOutcome(x_next, None, theta, abs_sum, lo.checks + ro.checks)
 
 
+def Picard() -> AA:
+    """Plain fixed-point iteration x <- g(x), which is AA(0)."""
+    return AA(0)
+
+
 def Multiplicative(outer: AA, inner: "AcceleratorSpec", iter_n: int = 1) -> AA:
     """The composite AA(m,SPEC): outer with the inner spec, run iter_n times per step."""
     if not isinstance(outer, AA) or outer.inner is not None:
@@ -206,7 +189,7 @@ def Multiplicative(outer: AA, inner: "AcceleratorSpec", iter_n: int = 1) -> AA:
     return replace(outer, inner=inner, iter_n=iter_n)
 
 
-AcceleratorSpec = Union[Picard, AA, Additive]
+AcceleratorSpec = Union[AA, Additive]
 
 
 @dataclass

@@ -1,7 +1,13 @@
 """Small dense linear algebra kernel backing the mixing solves.
 
 Scalar reductions (dot, norm2, ordered_sum) accumulate strictly left to
-right, so that recorded residual norms are reproducible across BLAS builds.
+right, so norm2 of a given vector has the same bits on every BLAS build.
+A Picard step calls no BLAS routine, so a Picard trace (of a map g that
+calls none either) is the same across OpenBLAS kernels. A windowed run's
+vectors pass through gemv, qr_delete and LAPACK solves that round per
+kernel, so its trace is reproducible only per numpy, scipy and OpenBLAS
+core.
+
 numpy sums pairwise only in add's reduce loop; add's accumulate loop and
 subtract's reduce loop run element by element. dot and norm2 sum the
 products of whole iterates (1024 or 4096 terms on every benchmark

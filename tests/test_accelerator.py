@@ -23,7 +23,7 @@ from anderkit.accelerator import (
 )
 from anderkit.composer import AA, Additive, Multiplicative, Picard, RunConfig, run
 from anderkit.kernel import least_squares, norm2
-from anderkit.problems import bratu_problem
+from anderkit.problems import bratu_problem, tridiag_problem
 
 
 # ---- window bookkeeping ----
@@ -534,14 +534,15 @@ def _owned_floats(window):
 @pytest.mark.parametrize("capacity, n", [(1, 3), (2, 1), (5, 4), (5, 30), (21, 64)])
 def test_window_stores_the_dx_ring_and_the_factor_and_its_tails_store_nothing(capacity, n):
     # Once full, a window holds the mirrored dx ring, Q and R, and no df
-    # block: 3 (c - 1) n + (c - 1)^2 floats for n >= c - 1.
+    # block: (3 (c - 1) - 1) n + (c - 1)^2 floats for n >= c - 1, and a
+    # capacity-1 window none.
     rng = np.random.default_rng(capacity * n)
     w = HistoryWindow(capacity)
     for _ in range(capacity + 2):
         x = rng.standard_normal(n)
         w.push(x, x + rng.standard_normal(n))
     slots = capacity - 1
-    assert _owned_floats(w) == 3 * slots * n + slots * slots
+    assert _owned_floats(w) == ((3 * slots - 1) * n + slots * slots if slots else 0)
     for k in range(1, capacity):
         t = w.tail(k)
         solve_mixing_coefficients(t)
@@ -566,7 +567,7 @@ def _peak_vectors(spec, problem, steps=60):
 
 def test_a_window_slot_costs_about_three_vectors_in_every_form():
     # The bytes a run really holds, numpy's buffers included: above Picard,
-    # each of m slots costs the two mirrored dx rows and one column of Q,
+    # each of m slots costs about two mirrored dx rows and one column of Q,
     # plus a share of R and of a mix's transient vectors (about 3.2
     # n-vectors at m = 20). The AA(1) parts of AA(m,AA(1)) and
     # ADD(AA(m),AA(1)) add no vector per slot.
@@ -919,6 +920,28 @@ def test_step_optimized_costs_two_evals_and_moves_along_segment():
     # scalar affine: x_avg=0, gx_avg=1, r_p=-1, r_q=-0.5, projection = 2 -> clamp 1
     assert step.beta == 1.0
     assert step.x_next[0] == pytest.approx(1.0)
+
+
+def test_step_optimized_probes_survive_a_map_that_reuses_its_output_buffer():
+    # The second probe may write over the first one's image; beta must come
+    # from g(x_avg) and g(gx_avg), not from g(gx_avg) twice.
+    p = tridiag_problem(30)
+    buf = np.empty(p.n)
+
+    def reused(x):
+        buf[:] = p.g(x)
+        return buf
+
+    w = HistoryWindow(4)
+    x = p.default_start
+    for _ in range(5):  # AA(3) steps, the last push evicting
+        w.push(x, p.g(x))
+        x = aa_step(w, DampingPolicy.none(), p.g).x_next
+    fresh = aa_step(w, DampingPolicy.optimized(), p.g)
+    step = aa_step(w, DampingPolicy.optimized(), reused)
+    assert fresh.beta < 1.0
+    assert step.beta == fresh.beta
+    assert np.array_equal(step.x_next, fresh.x_next)
 
 
 def test_step_optimized_interior_beta_on_expanding_map():

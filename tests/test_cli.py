@@ -58,6 +58,8 @@ def test_parse_compositions():
 
 def test_parse_suffixes():
     assert parse_spec("AA(3);beta=0.5") == AA(3, DampingPolicy.constant(0.5))
+    # picard is AA(0), so it takes AA(0)'s suffixes
+    assert parse_spec("picard;beta=0.5") == parse_spec("AA(0);beta=0.5")
     assert parse_spec("AAoptD(2);eta=0.2;guard=floor") == AA(
         2, DampingPolicy.optimized(eta=0.2, safeguard="floor")
     )
@@ -101,7 +103,6 @@ def test_parse_tolerates_whitespace():
         "ADD(AA(1),AA(2),0.5)",
         "AA(2);beta=",
         "AA(2);beta=2.0",  # constant damping range
-        "picard;beta=0.5",  # beta needs a plain window
         "AA(2);eta=0.1",  # eta needs optimized damping
         "AA(2);iterN=2",  # iterN needs a composed form
         "AAoptD(2);guard=maybe",
@@ -155,7 +156,6 @@ def test_parse_error_carries_position():
     "text",
     [
         "picard",
-        "AA(0)",
         "AA(20)",
         "AAoptD(20)",
         "AA(20);beta=0.5",
@@ -183,6 +183,7 @@ def test_render_canonicalizes_defaults():
     assert render_spec(parse_spec("AA( 2 , AA(1) ) ; iterN=1")) == "AA(2,AA(1))"
     assert render_spec(parse_spec("ADD(AA(1),AA(2),0.5,0.5)")) == "ADD(AA(1),AA(2))"
     assert render_spec(parse_spec("AAoptD(2);eta=0.1")) == "AAoptD(2)"
+    assert render_spec(parse_spec("AA(0)")) == "picard"
 
 
 _DAMPING = st.one_of(
@@ -287,6 +288,9 @@ def test_experiment_config_validation():
     # two spellings of one spec would write the same CSV
     with pytest.raises(ValueError):
         ExperimentConfig(problem_kind="bratu", solvers=["AA(2)", "AA( 2 )"])
+    # picard is AA(0): one solver, one label
+    with pytest.raises(ValueError, match=r"repeat the labels \['picard'\]"):
+        ExperimentConfig(problem_kind="bratu", solvers=["picard", "AA(0)"])
     # two different specs have two labels, even when one only changes eta
     config = ExperimentConfig(problem_kind="bratu", solvers=["AAoptD(2)", "AAoptD(2);eta=0.2"])
     assert [render_spec(parse_spec(text)) for text in config.solvers] == [

@@ -83,9 +83,10 @@ def test_composition_needs_a_plain_windowed_outer():
     with pytest.raises(ValueError, match="composed"):
         AA(2, iter_n=3)
     # a composed outer would silently drop one of the two inner specs
-    for outer in (Picard(), Multiplicative(AA(2), AA(1))):
-        with pytest.raises(ValueError, match="windowed outer"):
-            Multiplicative(outer, AA(1))
+    with pytest.raises(ValueError, match="windowed outer"):
+        Multiplicative(Multiplicative(AA(2), AA(1)), AA(1))
+    # picard is AA(0), which composes as the grammar's AA(0,SPEC)
+    assert Multiplicative(Picard(), AA(1)) == parse_spec("AA(0,AA(1))")
     assert Multiplicative(AA(2), AA(1), 3) == AA(2, DampingPolicy.none(), AA(1), 3)
 
 

@@ -1,12 +1,19 @@
 """Kernel primitives: reductions and the least-squares solve."""
 
+import json
 import math
+import os
+import platform
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+import anderkit
 from anderkit.composer import AA, RunConfig, run
 from anderkit.diagnostics import Termination
 from anderkit.kernel import RANK_TOL, dot, least_squares, norm2, ordered_sum
@@ -489,3 +496,48 @@ def test_a_lapack_error_code_raises_and_fails_the_run(monkeypatch):
     trace = run(AA(2), problem, problem.default_start, RunConfig(max_iters=10))
     assert trace.termination == Termination.FAILED
     assert trace.error == "LinAlgError: dtrtrs returned info=1"
+
+
+# Bratu N = 32 and convdiff eps = 0.1 (centered) at tol 1e-8. The child
+# prints, per case, termination, iterations, fevals and, for picard, the
+# bits of every row's res_norm.
+_KERNEL_CASES = [["bratu", "picard"], ["bratu", "AA(5)"], ["bratu", "AA(20,AA(1))"],
+                 ["bratu", "ADD(AA(20),AA(1))"], ["bratu", "AAoptD(20)"], ["convdiff", "AA(1)"]]
+_KERNEL_CHILD = """
+import json, sys
+from anderkit.cli import build_problem, parse_spec
+from anderkit.composer import RunConfig, run
+problems = {"bratu": build_problem("bratu", {"N": 32}), "convdiff": build_problem("convdiff", {"eps": 0.1})}
+out = []
+for kind, text in json.loads(sys.argv[1]):
+    p = problems[kind]
+    t = run(parse_spec(text), p, p.default_start, RunConfig(tol=1e-8, max_iters=20000))
+    bits = [r.res_norm.hex() for r in t.rows] if text == "picard" else None
+    out.append([t.termination.value, t.iters, t.fevals, bits])
+print(json.dumps(out))
+"""
+
+
+def _kernel_outcomes(coretype):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    if coretype is not None:
+        env["OPENBLAS_CORETYPE"] = coretype
+    src = str(Path(anderkit.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _KERNEL_CHILD, json.dumps(_KERNEL_CASES)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="OPENBLAS_CORETYPE=Prescott names an x86-64 kernel")
+def test_picard_bits_and_windowed_counts_survive_a_forced_openblas_kernel():
+    # Picard's vectors pass through no BLAS call, so its trace keeps its
+    # bits under another kernel; a windowed run keeps only its outcome and
+    # counts. Prescott needs only SSE3, which every x86-64 CPU has.
+    default = _kernel_outcomes(None)
+    forced = _kernel_outcomes("Prescott")
+    for case, want, got in zip(_KERNEL_CASES, default, forced):
+        assert want[0] == "converged", case
+        assert got == want if case[1] == "picard" else got[:3] == want[:3], case

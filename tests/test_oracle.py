@@ -62,8 +62,6 @@ class _Reference:
 
     def step(self, spec, hist):
         """Next iterate, not yet evaluated."""
-        if isinstance(spec, Picard):
-            return hist[-1][1]
         if isinstance(spec, Additive):
             xl = self.step(spec.left, hist)
             xr = self.step(spec.right, hist)
@@ -104,8 +102,6 @@ class _Reference:
 
 
 def _depth(spec):
-    if isinstance(spec, Picard):
-        return 1
     if isinstance(spec, Additive):
         return max(_depth(spec.left), _depth(spec.right))
     return spec.m + 1
