@@ -18,28 +18,14 @@ each column is written at its ring row and, where a live block can reach
 it, again one ring length further down, so the live block, oldest first,
 is always one contiguous slice.
 
-The factor is valid as soon as the window holds one difference. A column
-within RANK_TOL of the span of the older ones (a repeated iterate, an
-exact dependency, any column past the n-th) is an exact zero column of Q
-with a zero row in R; qr_delete's Givens rotations pass such a column by
-an identity or a swap, so QR = dF holds through every eviction. Every mix,
+The factor is valid as soon as the window holds one difference; the
+kernel updates it (qr_append, qr_downdate) and loads scipy for it. Every mix,
 full window or tail, is one least_squares call on R's columns and Q^T f_k,
 which is computed once per push and shared with the tails. A whole
 window's R is square and is solved as the triangle it is when its diagonal
 passes the rank test; a tail's block of R's newest columns, or an R with a
 zero or tiny diagonal entry, takes the pivoted solve. A tail is a
 read-only view of the same buffers, valid until the window's next push.
-
-scipy is loaded only by windows that can need it. A window of capacity 3
-or more imports scipy.linalg when it is built: only such a window
-downdates its factor with qr_delete or hands least_squares a block of
-two or more rows, which goes to LAPACK. run() builds its window before
-it starts the clock, so the import is not timed. A window of capacity 1 or
-2 mixes with at most a 1 x 1 triangle, solved in closed form, and never
-downdates, so Picard and depth-1 solves run on numpy alone. One path loads
-scipy inside a step instead: a multiplicative inner window of capacity 3 or
-more under a shared window of capacity 2 or less, such as that of
-AA(1,AA(5)), which each outer step builds afresh.
 """
 
 from __future__ import annotations
@@ -50,15 +36,12 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .kernel import NORMAL_MIN, RANK_TOL, dot, least_squares, max_exponent, norm2, ordered_sum
+from .kernel import NORMAL_MIN, dot, least_squares, load_scipy, max_exponent, norm2, ordered_sum
+from .kernel import qr_append, qr_downdate
 
 # Relative threshold below which the damping direction r_p - r_q is treated
 # as degenerate and the undamped step is taken.
 _DEGENERATE_RTOL = 1e-14
-
-# A Gram-Schmidt pass that leaves ||v|| below this fraction of ||u|| is
-# repeated (Daniel, Gragg, Kaufman & Stewart, 1976).
-_REORTHOGONALIZE_BELOW = 1.0 / math.sqrt(2.0)
 
 # A one-entry window mixes nothing: alpha = [1], and theta and both
 # coefficient sums are 1.0. Every such step (each Picard step, the first
@@ -98,62 +81,6 @@ class WindowMeter:
         self.current -= k
 
 
-def _norm(v: np.ndarray) -> float:
-    """sqrt(v @ v), rescaled by a power of two where v @ v leaves the normal range.
-
-    As in kernel.norm2, but with BLAS's summation order. A v with a NaN or
-    inf entry gives NaN, so a column holding one is not taken for zero.
-    """
-    total = float(v @ v)
-    if NORMAL_MIN <= total < math.inf:
-        return math.sqrt(total)
-    e = max_exponent(v)
-    if e is None:
-        return 0.0 if total == 0.0 else math.nan
-    w = np.ldexp(v, -e)
-    return float(np.ldexp(math.sqrt(w @ w), e))
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def _qr_append(q: np.ndarray, r: np.ndarray, k: int, u: np.ndarray) -> None:
-    """Extend the thin QR in q[:, :k], r[:k, :k] by the column u, in place.
-
-    Classical Gram-Schmidt, with a second pass only where the first left
-    ||v|| < ||u|| / sqrt(2) (the DGKS criterion); the new column goes to
-    q[:, k] and r[:k + 1, k]. A column within RANK_TOL of
-    the span of the first k (zero, dependent, or past the n-th) gets an
-    exact zero q[:, k] and r[k, k] = 0. A column with NaN or inf entries is
-    stored as it is, so the next solve on r raises. The overflow and
-    invalid-value warnings of its norms are silenced: _norm takes care of
-    the range, and a NaN is meant to reach the solve.
-    """
-    u_norm = _norm(u)
-    if k:
-        qk = q[:, :k]
-        c = qk.T @ u
-        v = u - qk @ c
-        rho = _norm(v)
-        # Norms, not their squares, so that neither side can overflow.
-        if rho < _REORTHOGONALIZE_BELOW * u_norm:
-            c2 = qk.T @ v
-            v -= qk @ c2
-            c += c2
-            rho = _norm(v)
-        r[:k, k] = c
-        r[k, :k] = 0.0
-    else:
-        # Projecting onto an empty basis subtracts exact zeros: v is u.
-        v = u
-        rho = u_norm
-    # A NaN fails the test.
-    if rho <= RANK_TOL * u_norm:
-        q[:, k] = 0.0
-        r[k, k] = 0.0
-    else:
-        np.divide(v, rho, out=q[:, k])
-        r[k, k] = rho
-
-
 class HistoryWindow:
     """Sliding window over the last `capacity` iterates.
 
@@ -187,8 +114,7 @@ class HistoryWindow:
         if capacity < 1:
             raise ValueError(f"window capacity must be >= 1, got {capacity}")
         if capacity > 2:
-            # Loaded here, outside any timed step; see the module docstring.
-            import scipy.linalg  # noqa: F401
+            load_scipy()
         self.capacity = capacity
         self.meter = meter
         self._newest: WindowEntry | None = None
@@ -252,15 +178,9 @@ class HistoryWindow:
         np.subtract(entry.x, prev.x, out=self._dx[row::slots])
         # A one-column factor is not downdated: the append overwrites it.
         if evict and p > 1:
-            import scipy.linalg
-
-            # Rotates the F-contiguous Q view and the R view in place.
-            scipy.linalg.qr_delete(
-                self._q[:, :p], self._r[:p, :p], 0, which="col", overwrite_qr=True,
-                check_finite=False,
-            )
+            qr_downdate(self._q[:, :p], self._r[:p, :p])
         q = self._q[: entry.x.shape[0]]
-        _qr_append(q, self._r, p - 1, entry.f - prev.f)
+        qr_append(q, self._r, p - 1, entry.f - prev.f)
         self.factor = (q[:, :p], self._r[:p, :p])
 
     def differences(self) -> np.ndarray:

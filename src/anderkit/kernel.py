@@ -69,10 +69,22 @@ b = -0.0, which 0.0 + b turns into +0.0, and the quotient's sign of zero
 follows (b = -0.0, a = -2 gives -0.0, not +0.0). dtrtrs then divides, so
 w = (0.0 + b) / a, which overflows to inf as dtrtrs does.
 
-least_squares imports scipy on its first LAPACK call, not when this
-module is imported: a process whose systems are all 1 x 1 never loads it.
-Once loaded, the function-local import is a dictionary lookup of well
-under a microsecond.
+Only this module updates the history window's thin QR factor of dF, its
+residual differences. qr_append adds a column by classical Gram-Schmidt,
+with a second pass where the first left ||v|| < ||u|| / sqrt(2) (Daniel,
+Gragg, Kaufman & Stewart, 1976), and _norm, sqrt(v @ v) in BLAS's order,
+rescaled as norm2 is. A column within RANK_TOL of the older ones' span
+becomes an exact zero column of Q with a zero row of R, which
+qr_downdate's Givens rotations (scipy.linalg.qr_delete) pass by an
+identity or a swap, so QR = dF holds through every eviction.
+
+scipy loads at the first LAPACK call of least_squares or qr_downdate, or
+when a window of capacity 3 or more, the only kind that makes such calls,
+is built and calls load_scipy; run() builds its window before it starts
+the clock. Picard and depth-1 solves (1 x 1 systems in closed form, no
+downdate) never load it; the inner window of AA(1,AA(5)), which each outer
+step builds afresh, loads it inside a step. Once loaded, a function-local
+import is a dictionary lookup of well under a microsecond.
 """
 
 from __future__ import annotations
@@ -89,6 +101,10 @@ RANK_TOL = 1e-12
 
 # The smallest positive normal double, 2^-1022.
 NORMAL_MIN = 2.0**-1022
+
+# A Gram-Schmidt pass that leaves ||v|| below this fraction of ||u|| is
+# repeated (Daniel, Gragg, Kaufman & Stewart, 1976).
+_REORTHOGONALIZE_BELOW = 1.0 / math.sqrt(2.0)
 
 
 def _as_vector(v, name: str) -> np.ndarray:
@@ -253,3 +269,66 @@ def _is_full_rank_triangle(a: np.ndarray) -> bool:
     diag = np.abs(a.diagonal()).tolist()
     top = max(diag)
     return top > 0.0 and min(diag) >= RANK_TOL * top
+
+
+def load_scipy() -> None:
+    """Import scipy.linalg now, so that no later solve or downdate does."""
+    import scipy.linalg  # noqa: F401
+
+
+def _norm(v: np.ndarray) -> float:
+    """sqrt(v @ v), rescaled by a power of two where v @ v leaves the normal range.
+
+    As norm2, but with BLAS's summation order. A v with a NaN or inf entry
+    gives NaN, so a column holding one is not taken for zero.
+    """
+    total = float(v @ v)
+    if NORMAL_MIN <= total < math.inf:
+        return math.sqrt(total)
+    e = max_exponent(v)
+    if e is None:
+        return 0.0 if total == 0.0 else math.nan
+    w = np.ldexp(v, -e)
+    return float(np.ldexp(math.sqrt(w @ w), e))
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def qr_append(q: np.ndarray, r: np.ndarray, k: int, u: np.ndarray) -> None:
+    """Extend the thin QR in q[:, :k], r[:k, :k] by u into q[:, k], r[:k + 1, k], in place.
+
+    A column with NaN or inf entries is stored as it is, so the next solve
+    on r raises; the warnings of its norms are silenced, as _norm takes
+    care of the range.
+    """
+    u_norm = _norm(u)
+    if k:
+        qk = q[:, :k]
+        c = qk.T @ u
+        v = u - qk @ c
+        rho = _norm(v)
+        # Norms, not their squares, so that neither side can overflow.
+        if rho < _REORTHOGONALIZE_BELOW * u_norm:
+            c2 = qk.T @ v
+            v -= qk @ c2
+            c += c2
+            rho = _norm(v)
+        r[:k, k] = c
+        r[k, :k] = 0.0
+    else:
+        # Projecting onto an empty basis subtracts exact zeros: v is u.
+        v = u
+        rho = u_norm
+    # A NaN fails the test.
+    if rho <= RANK_TOL * u_norm:
+        q[:, k] = 0.0
+        r[k, k] = 0.0
+    else:
+        np.divide(v, rho, out=q[:, k])
+        r[k, k] = rho
+
+
+def qr_downdate(q: np.ndarray, r: np.ndarray) -> None:
+    """Delete the first column of the thin QR q (F-contiguous), r in place."""
+    import scipy.linalg
+
+    scipy.linalg.qr_delete(q, r, 0, which="col", overwrite_qr=True, check_finite=False)

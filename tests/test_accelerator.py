@@ -15,7 +15,6 @@ from anderkit.accelerator import (
     DivergedError,
     HistoryWindow,
     WindowMeter,
-    _qr_append,
     aa_step,
     optimized_beta,
     safeguard_beta,
@@ -23,6 +22,7 @@ from anderkit.accelerator import (
 )
 from anderkit.composer import AA, Additive, Multiplicative, Picard, RunConfig, run
 from anderkit.kernel import least_squares, norm2
+from anderkit.kernel import qr_append as _qr_append
 from anderkit.problems import bratu_problem, tridiag_problem
 
 
