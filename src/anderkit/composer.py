@@ -138,7 +138,9 @@ class AA:
 
 @dataclass(frozen=True)
 class Additive:
-    """Convex blend of two accelerator steps over one shared history.
+    """Affine blend of two accelerator steps over one shared history.
+
+    The weights sum to one; either may be negative (2.0 and -1.0 extrapolate).
 
     The trace row carries the larger of the two gains and of the two
     ||alpha||_1, both branches' mixing checks, and no single beta.
@@ -225,11 +227,16 @@ class CountingMap:
 def _advance(window: HistoryWindow, x: np.ndarray, g) -> WindowEntry:
     """Evaluate g(x), push (x, g(x)) onto window and return the new entry.
 
-    A non-finite image raises DivergedError before anything is pushed.
+    x is made read-only before g sees it, and the image is stored as a
+    read-only copy, so g can neither write the iterate nor change the
+    stored image later by reusing its output buffer. A non-finite image
+    raises DivergedError before anything is pushed.
     """
-    gx = g(x)
+    x.flags.writeable = False
+    gx = np.array(g(x), dtype=float)
     if not np.isfinite(gx).all():
         raise DivergedError("evaluation left the finite range")
+    gx.flags.writeable = False
     window.push(x, gx)
     return window.newest()
 
@@ -255,7 +262,7 @@ def run(
     are kept and the trace's error names the exception.
     """
     config = config if config is not None else RunConfig()
-    x = np.asarray(x0, dtype=float)
+    x = np.array(x0, dtype=float)
     if x.ndim != 1 or x.shape[0] != problem.n:
         raise ValueError(f"x0 must be a length-{problem.n} vector, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
@@ -301,4 +308,7 @@ def run(
         k += 1
 
     window.close()
-    return ConvergenceTrace(rows=rows, termination=termination, error=error, fevals=g.calls)
+    # The last row's entry is the newest: no entry is pushed without a row.
+    last = window.newest()
+    return ConvergenceTrace(rows=rows, termination=termination, error=error, fevals=g.calls,
+                            x=x if last is None else last.x)

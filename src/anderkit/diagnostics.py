@@ -9,6 +9,8 @@ from enum import Enum
 from numbers import Integral
 from pathlib import Path
 
+import numpy as np
+
 TRACE_COLUMNS = ("iter", "fevals", "res_norm", "beta", "theta", "alpha_abs_sum", "wall_ns")
 
 
@@ -48,12 +50,15 @@ class ConvergenceTrace:
     error is "ExceptionType: message" when the run ended as FAILED, else None.
     fevals counts every evaluation of g the run made, those of a final step
     that ended the run without a row included; each row keeps its own count.
+    x is the read-only iterate of the last row, whose residual is final_res
+    (x0 when no row was recorded); a trace read back from CSV has none.
     """
 
     rows: list[TraceRow]
     termination: Termination
     error: str | None = None
     fevals: int = 0
+    x: np.ndarray | None = None
 
     @property
     def final_res(self) -> float:

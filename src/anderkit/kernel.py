@@ -76,7 +76,13 @@ Gragg, Kaufman & Stewart, 1976), and _norm, sqrt(v @ v) in BLAS's order,
 rescaled as norm2 is. A column within RANK_TOL of the older ones' span
 becomes an exact zero column of Q with a zero row of R, which
 qr_downdate's Givens rotations (scipy.linalg.qr_delete) pass by an
-identity or a swap, so QR = dF holds through every eviction.
+identity or a swap, so QR = dF holds through every eviction. Outside
+(2^-511, 2^511) LAPACK's dlartg rescales a rotation's entries by their
+larger magnitude, not by a power of two (Anderson, ACM TOMS 44, 2017), so
+qr_downdate rotates R scaled by 2^-e, e = max_exponent(R), and scales it
+back after. Powers of two scale exactly, so a run scaled by 2^k meets the
+same rotations as the unscaled one; in range the unscaled branch, which
+is scale-free, keeps every bit.
 
 scipy loads at the first LAPACK call of least_squares or qr_downdate, or
 when a window of capacity 3 or more, the only kind that makes such calls,
@@ -328,7 +334,16 @@ def qr_append(q: np.ndarray, r: np.ndarray, k: int, u: np.ndarray) -> None:
 
 
 def qr_downdate(q: np.ndarray, r: np.ndarray) -> None:
-    """Delete the first column of the thin QR q (F-contiguous), r in place."""
+    """Delete the first column of the thin QR q (F-contiguous), r in place.
+
+    The rotations see r scaled by 2^-e, e = max_exponent(r); see the module
+    docstring.
+    """
     import scipy.linalg
 
+    e = max_exponent(r)
+    if e is not None:
+        np.ldexp(r, -e, out=r)
     scipy.linalg.qr_delete(q, r, 0, which="col", overwrite_qr=True, check_finite=False)
+    if e is not None:
+        np.ldexp(r, e, out=r)

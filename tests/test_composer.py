@@ -19,7 +19,9 @@ from anderkit.composer import (
     run,
 )
 from anderkit.diagnostics import Termination
+from anderkit.kernel import norm2
 from anderkit.problems import FixedPointProblem, tridiag_problem
+from test_equivariance import FORMS, PROBLEMS
 
 
 def affine_problem(seed=0, n=8, scale=0.8):
@@ -411,6 +413,81 @@ def test_a_non_finite_image_of_the_last_inner_iterate_ends_the_run_as_diverged()
     assert trace.fevals == 5 and meter.current == 0
     clean = run(spec, base, base.default_start, RunConfig(tol=1e-300, max_iters=1))
     assert [row.res_norm for row in trace.rows] == [row.res_norm for row in clean.rows]
+
+
+# The map contract as run() enforces it, on every named form and test problem.
+CONTRACT_RUN = RunConfig(tol=1e-8, max_iters=200)
+
+
+def _with_map(problem, g):
+    return FixedPointProblem(problem.n, g, problem.label, problem.default_start)
+
+
+def _row_bits(row):
+    return repr((row.k, row.fevals, row.res_norm, row.beta, row.theta, row.alpha_abs_sum,
+                 row.inner_theta, row.mixing_checks))
+
+
+@pytest.mark.parametrize("form", FORMS)
+def test_a_map_that_reuses_its_output_buffer_runs_as_a_fresh_one(form):
+    # Stored images are copies: a map that writes every image into one
+    # buffer used to turn the stored g(x) of a Picard step into the next x
+    # and certify f = 0 at step 1.
+    spec = parse_spec(form)
+    for name, problem in PROBLEMS.items():
+        buf = np.empty(problem.n)
+
+        def reusing(x, problem=problem, buf=buf):
+            buf[:] = problem.g(x)
+            return buf
+
+        fresh = run(spec, problem, problem.default_start, CONTRACT_RUN)
+        reused = run(spec, _with_map(problem, reusing), problem.default_start, CONTRACT_RUN)
+        case = (form, name)
+        assert (reused.termination, reused.iters, reused.fevals) == (
+            fresh.termination, fresh.iters, fresh.fevals), case
+        assert [_row_bits(r) for r in reused.rows] == [_row_bits(r) for r in fresh.rows], case
+        assert np.array_equal(reused.x, fresh.x), case
+
+
+@pytest.mark.parametrize("form", FORMS)
+def test_every_array_handed_to_g_is_read_only(form):
+    # A map that writes its argument ends the run as failed, with numpy's message.
+    spec = parse_spec(form)
+    for name, problem in PROBLEMS.items():
+        writable = []
+
+        def watching(x, problem=problem):
+            writable.append(x.flags.writeable)
+            return problem.g(x)
+
+        trace = run(spec, _with_map(problem, watching), problem.default_start, CONTRACT_RUN)
+        assert trace.fevals == len(writable) > 1 and not any(writable), (form, name)
+
+        def scribbling(x, problem=problem):
+            gx = problem.g(x)
+            x[:] = 0.0
+            return gx
+
+        start = problem.default_start.copy()
+        trace = run(spec, _with_map(problem, scribbling), start, CONTRACT_RUN)
+        assert trace.termination == Termination.FAILED and trace.rows == [], (form, name)
+        assert trace.error == "ValueError: assignment destination is read-only", (form, name)
+        assert np.array_equal(start, problem.default_start), (form, name)
+
+
+@pytest.mark.parametrize("form", FORMS)
+def test_the_trace_returns_the_iterate_it_certifies(form):
+    spec = parse_spec(form)
+    for name, problem in PROBLEMS.items():
+        trace = run(spec, problem, problem.default_start, CONTRACT_RUN)
+        assert not trace.x.flags.writeable, (form, name)
+        assert norm2(problem.g(trace.x) - trace.x) == trace.final_res, (form, name)
+    # Without a row the iterate is x0 itself.
+    problem = tridiag_problem(5)
+    nan_seed = _with_map(problem, lambda x: np.full_like(x, np.nan))
+    trace = run(spec, nan_seed, problem.default_start)
+    assert trace.rows == [] and np.array_equal(trace.x, problem.default_start)
 
 
 def test_whole_windows_solve_their_triangle_and_tails_their_block(monkeypatch):

@@ -1,4 +1,4 @@
-"""Kernel primitives: reductions and the least-squares solve."""
+"""Kernel primitives: reductions, the least-squares solve and the factor downdate."""
 
 import json
 import math
@@ -16,7 +16,9 @@ import scipy.linalg
 import anderkit
 from anderkit.composer import AA, RunConfig, run
 from anderkit.diagnostics import Termination
-from anderkit.kernel import RANK_TOL, dot, least_squares, norm2, ordered_sum
+from anderkit.kernel import (
+    RANK_TOL, dot, least_squares, norm2, ordered_sum, qr_append, qr_downdate,
+)
 from anderkit.problems import tridiag_problem
 
 
@@ -496,6 +498,51 @@ def test_a_lapack_error_code_raises_and_fails_the_run(monkeypatch):
     trace = run(AA(2), problem, problem.default_start, RunConfig(max_iters=10))
     assert trace.termination == Termination.FAILED
     assert trace.error == "LinAlgError: dtrtrs returned info=1"
+
+
+def _thin_factor(df):
+    """Q (Fortran-ordered) and R of df's columns, appended one by one as a window does."""
+    n, p = df.shape
+    q, r = np.zeros((n, p), order="F"), np.zeros((p, p))
+    for k in range(p):
+        qr_append(q, r, k, df[:, k])
+    return q, r
+
+
+def test_qr_downdate_is_qr_delete_on_r_scaled_to_its_largest_entry():
+    # In range it has qr_delete's bits. At 2^+-600 the rotations see the
+    # same scaled R, so R scales exactly and Q keeps its bits; raw qr_delete
+    # does not, as LAPACK's dlartg rescales there by a power other than two.
+    rng = np.random.default_rng(211)
+    n, p = 4096, 20
+    live = rng.standard_normal((n, p))
+    # Two dependent columns: the rotations carry one zero column of Q out
+    # past the factor's end and leave the other in it.
+    dependent = live.copy()
+    dependent[:, 7] = dependent[:, 3] - 2.0 * dependent[:, 5]
+    dependent[:, 11] = dependent[:, 2] + dependent[:, 7]
+    for case, df in (("live", live), ("zero column", dependent)):
+        q, r = _thin_factor(df)
+        zero = ~q.any(axis=0)
+        assert zero.sum() == 2 * (case == "zero column") and not r[zero].any(), case
+        want_q, want_r = q.copy(order="F"), r.copy()
+        scipy.linalg.qr_delete(want_q, want_r, 0, which="col", overwrite_qr=True,
+                               check_finite=False)
+        got_q, got_r = q.copy(order="F"), r.copy()
+        qr_downdate(got_q, got_r)
+        q1, r1 = got_q[:, : p - 1], got_r[: p - 1, : p - 1]
+        _assert_same_bits(q1, want_q[:, : p - 1], case)
+        _assert_same_bits(r1, want_r[: p - 1, : p - 1], case)
+        # QR is df without its oldest column; Q's columns are orthonormal or zero.
+        assert np.abs(q1 @ r1 - df[:, 1:]).max() <= 1e-10, case
+        zero = ~q1.any(axis=0)
+        assert zero.sum() == (case == "zero column") and not r1[zero].any(), case
+        assert np.abs(q1.T @ q1 - np.diag(~zero)).max() <= 1e-10, case
+        for k in (-600, 600):
+            scaled_q, scaled_r = q.copy(order="F"), np.ldexp(r, k)
+            qr_downdate(scaled_q, scaled_r)
+            _assert_same_bits(scaled_q[:, : p - 1], q1, (case, k))
+            _assert_same_bits(scaled_r[: p - 1, : p - 1], np.ldexp(r1, k), (case, k))
 
 
 # Bratu N = 32 and convdiff eps = 0.1 (centered) at tol 1e-8. The child
