@@ -81,8 +81,9 @@ identity or a swap, so QR = dF holds through every eviction. Outside
 larger magnitude, not by a power of two (Anderson, ACM TOMS 44, 2017), so
 qr_downdate rotates R scaled by 2^-e, e = max_exponent(R), and scales it
 back after. Powers of two scale exactly, so a run scaled by 2^k meets the
-same rotations as the unscaled one; in range the unscaled branch, which
-is scale-free, keeps every bit.
+same rotations as the unscaled one. Where every rotated entry lies inside
+that range before and after the scaling, dlartg takes its unscaled
+branch, which is scale-free, so the scaling moves no bit there.
 
 scipy loads at the first LAPACK call of least_squares or qr_downdate, or
 when a window of capacity 3 or more, the only kind that makes such calls,
