@@ -512,7 +512,8 @@ def _thin_factor(df):
 def test_qr_downdate_is_qr_delete_on_r_scaled_to_its_largest_entry():
     # In range it has qr_delete's bits. At 2^+-600 the rotations see the
     # same scaled R, so R scales exactly and Q keeps its bits; raw qr_delete
-    # does not, as LAPACK's dlartg rescales there by a power other than two.
+    # does not, as LAPACK's dlartg rescales there by a factor that is not a
+    # power of two.
     rng = np.random.default_rng(211)
     n, p = 4096, 20
     live = rng.standard_normal((n, p))
