@@ -401,6 +401,7 @@ def aa_step(
     checked = True
 
     if policy.kind == "optimized":
+        # g gets read-only points, as run() gives it: these may be stored ones.
         mix.x_avg.flags.writeable = mix.gx_avg.flags.writeable = False
         gp = g(mix.x_avg)
         # Formed before the second probe, which may write over gp's buffer.
