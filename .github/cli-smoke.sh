@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # CLI smoke: runs the installed `anderkit` console script. `anderkit check`,
-# `list-solvers` and one `anderkit run` must succeed, and five config errors
+# `list-solvers` and one `anderkit run` must succeed, as must `check` under
+# `python -O`, which strips assert statements, and `list-solvers` under
+# `python -OO`, which also strips docstrings. Five config errors
 # must exit 1: an infinite tolerance, a window size past int's digit limit,
 # a problem kind given through --param, a solver nested past 100 levels,
 # and a label whose CSV name passes 255 bytes.
@@ -13,6 +15,8 @@ trap 'rm -rf "$out"' EXIT
 
 anderkit check
 anderkit list-solvers
+python -O -m anderkit.cli check
+python -OO -m anderkit.cli list-solvers
 anderkit run --problem tridiag --param n=20 --solver "AA(5)" --solver "AAoptD(2,AA(1));eta=0.2;guard=floor" --solver "AA(3,AA(1));beta=0.5" --paper-style-iters --max-iters 400 --out "$out/anderkit-run"
 
 config_error() {

@@ -37,9 +37,11 @@ scheme), tridiag (n). Command line flags are merged into the file's dict
 file value, even an invalid one; the merged dict is then checked once.
 The problem kind comes from --problem or the file, never from --param.
 Problem and run values are read by one rule: a number or a numeric string
-("--param" values stay strings until then), never JSON true or false; an
-integer key rejects a fraction, a float key rejects NaN and infinity. The
-run keys are RunConfig's fields, so tol and divergence_factor are floats.
+(flag values stay strings until then), never JSON true or false. A float
+key rejects NaN and infinity. An integer key rejects a fraction, NaN and
+infinity, and reads a float, or a string that int() rejects but float()
+reads ("4e2"), if it is integral and below 2**53 in magnitude, so exact.
+The run keys are RunConfig's fields, so tol and divergence_factor are floats.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ import re
 import sys
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -63,7 +66,6 @@ from .composer import (
     AA,
     AcceleratorSpec,
     Additive,
-    Multiplicative,
     Picard,
     RunConfig,
     run,
@@ -261,13 +263,19 @@ def _read_keys(values: dict, keys: dict, what: str) -> dict:
 
 
 def _cast(cast, value, name: str):
-    """cast(value), refusing a bool, a fraction for int and NaN or infinity for float."""
+    """cast(value) by the rule of the module docstring; ValueError naming name if it fails."""
     try:
         if isinstance(value, bool):  # JSON true/false, which int() and float() would take
             raise ValueError
-        out = cast(value)
-        fraction = cast is int and isinstance(value, float) and out != value
-        if fraction or (cast is float and not np.isfinite(out)):
+        number = value
+        if cast is int and isinstance(value, str):
+            try:
+                number = int(value)
+            except ValueError:  # a float form, such as "4e2"
+                number = float(value)
+        out = cast(number)
+        inexact = isinstance(number, float) and not (number.is_integer() and abs(number) < 2**53)
+        if (cast is int and inexact) or (cast is float and not np.isfinite(out)):
             raise ValueError
     except (TypeError, ValueError, OverflowError):
         raise ValueError(f"{name} must be {cast.__name__}, got {value!r}") from None
@@ -382,61 +390,54 @@ def run_experiment(config: ExperimentConfig):
 # ---- self checks (anderkit check) ----
 
 
-def _check_window_reaches_gmres_bound():
-    problem = tridiag_problem(40)
-    cfg = RunConfig(tol=1e-8, max_iters=41)
-    for spec, want in ((AA(40), Termination.CONVERGED), (Picard(), Termination.MAX_ITERS)):
-        trace = run(spec, problem, problem.default_start, cfg)
-        assert trace.termination == want, (spec, trace.termination, trace.iters)
+def _metered_run(text: str, n: int, **run_keys) -> dict:
+    """Termination, fevals, meter peak and spec.memory of solver text run on tridiag_problem(n)."""
+    spec = parse_spec(text)
+    problem = tridiag_problem(n)
+    meter = WindowMeter()
+    trace = run(spec, problem, problem.default_start, RunConfig(**run_keys), meter=meter)
+    return {"termination": trace.termination.value, "fevals": trace.fevals,
+            "peak": meter.peak, "memory": spec.memory}
 
 
-def _check_feval_budget():
-    problem = tridiag_problem(30)
-    cfg = RunConfig(tol=1e-300, max_iters=10)
-    points = {
-        "picard": (Picard(), 11),
-        "AAoptD": (AA(2, DampingPolicy.optimized()), 31),
-        "AA(m,AA(1))": (Multiplicative(AA(2), AA(1)), 21),
-        "ADD(AA(m,AA(1)),AA(n))": (Additive(Multiplicative(AA(2), AA(1)), AA(3)), 21),
-    }
-    for name, (spec, want) in points.items():
-        trace = run(spec, problem, problem.default_start, cfg)
-        assert trace.fevals == want, (name, trace.fevals, want)
-
-
-def _check_hard_budget():
-    problem = tridiag_problem(30)
-    trace = run(parse_spec("AA(3,AA(1));iterN=7"), problem, problem.default_start,
-                RunConfig(tol=1e-300, max_fevals=10))
-    assert trace.termination == Termination.MAX_FEVALS and trace.fevals <= 10, (
-        trace.termination, trace.fevals)
-
-
-def _check_memory():
-    problem = tridiag_problem(40)
-    cfg = RunConfig(tol=1e-300, max_iters=12)
-    for spec, want in (
-        (AA(5), 6),
-        (Additive(AA(5), AA(1)), 6),
-        (Multiplicative(AA(5), AA(1)), 7),
-        (Multiplicative(AA(4), AA(2), iter_n=5), 8),
-        (Multiplicative(AA(1), Multiplicative(AA(1), AA(1)), iter_n=0), 2),
-    ):
-        meter = WindowMeter()
-        run(spec, problem, problem.default_start, cfg, meter=meter)
-        assert meter.peak == want == spec.memory, (spec, meter.peak, want)
+def _expect_runs(n: int, run_keys: dict, *rows) -> None:
+    """AssertionError for the first (solver, expected values) row whose metered run differs."""
+    for text, want in rows:
+        got = _metered_run(text, n, **run_keys)
+        if not want.items() <= got.items():
+            raise AssertionError(f"{text}: got {got}, expected {want}")
 
 
 def _check_grammar_roundtrip():
     for text in EXAMPLE_SPECS:
-        assert render_spec(parse_spec(text)) == text, text
+        rendered = render_spec(parse_spec(text))
+        if rendered != text:
+            raise AssertionError(f"{text}: renders as {rendered}")
 
 
+# A run check is partial(_expect_runs, tridiag size n, run keys, *rows), each
+# row (solver, expected values); the solver strings are parsed only when it runs.
 _CHECKS = (
-    ("full window converges where picard stalls", _check_window_reaches_gmres_bound),
-    ("evaluation budgets per step", _check_feval_budget),
-    ("evaluation budget is a hard cap", _check_hard_budget),
-    ("window memory accounting", _check_memory),
+    ("full window converges where picard stalls", partial(
+        _expect_runs, 40, {"tol": 1e-8, "max_iters": 41},
+        ("AA(40)", {"termination": "converged"}),
+        ("picard", {"termination": "max_iters"}))),
+    ("evaluation budgets per step", partial(
+        _expect_runs, 30, {"tol": 1e-300, "max_iters": 10},
+        ("picard", {"fevals": 11}),
+        ("AAoptD(2)", {"fevals": 31}),
+        ("AA(2,AA(1))", {"fevals": 21}),
+        ("ADD(AA(2,AA(1)),AA(3))", {"fevals": 21}))),
+    ("evaluation budget is a hard cap", partial(
+        _expect_runs, 30, {"tol": 1e-300, "max_fevals": 10},
+        ("AA(3,AA(1));iterN=7", {"termination": "max_fevals", "fevals": 9}))),
+    ("window memory accounting", partial(
+        _expect_runs, 40, {"tol": 1e-300, "max_iters": 12},
+        ("AA(5)", {"peak": 6, "memory": 6}),
+        ("ADD(AA(5),AA(1))", {"peak": 6, "memory": 6}),
+        ("AA(5,AA(1))", {"peak": 7, "memory": 7}),
+        ("AA(4,AA(2));iterN=5", {"peak": 8, "memory": 8}),
+        ("AA(1,AA(1,AA(1)));iterN=0", {"peak": 2, "memory": 2}))),
     ("solver grammar round-trip", _check_grammar_roundtrip),
 )
 
@@ -468,7 +469,7 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def _build_parser() -> _ArgumentParser:
-    parser = _ArgumentParser(prog="anderkit", description=__doc__.split("\n\n")[0])
+    parser = _ArgumentParser(prog="anderkit", description="Anderson acceleration solvers")
     parser.add_argument("--version", action="version", version=f"anderkit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -489,9 +490,9 @@ def _build_parser() -> _ArgumentParser:
         metavar="SPEC",
         help="solver spec (repeatable; replaces the config list)",
     )
-    runp.add_argument("--tol", type=float)
-    runp.add_argument("--max-iters", type=int)
-    runp.add_argument("--max-fevals", type=int)
+    runp.add_argument("--tol")
+    runp.add_argument("--max-iters")
+    runp.add_argument("--max-fevals")
     runp.add_argument("--out", help="output directory")
     runp.add_argument(
         "--paper-style-iters",
@@ -499,11 +500,8 @@ def _build_parser() -> _ArgumentParser:
         help="scale the iter column by the per-step sub-iteration count",
     )
 
-    listp = sub.add_parser("list-solvers", help="print the solver grammar")
-    del listp
-
-    checkp = sub.add_parser("check", help="run built-in verification checks")
-    del checkp
+    sub.add_parser("list-solvers", help="print the solver grammar")
+    sub.add_parser("check", help="run built-in verification checks")
     return parser
 
 

@@ -114,6 +114,9 @@ def test_parse_tolerates_whitespace():
         "AA(2,AA(1));iterN=2;iterN=3",
         "AAoptD(2);guard=floor;guard=reflect",
         "AA(3);beta=0.5;beta=0.7",
+        # beta applies to undamped AA(m) forms only
+        "AAoptD(2);beta=0.5",
+        "ADD(AA(1),AA(2));beta=0.5",
     ],
 )
 def test_parse_rejects_malformed(text):
@@ -137,6 +140,11 @@ def test_parse_error_carries_position():
     with pytest.raises(SpecParseError, match="column 19: suffix 'eta' is given twice") as err:
         parse_spec("AAoptD(2);eta=0.2;eta=0.3")
     assert err.value.pos == 18
+    # beta on an optimized or additive node is reported at its key
+    for text, column in (("AAoptD(2);beta=0.5", 11), ("ADD(AA(1),AA(2));beta=0.5", 18)):
+        with pytest.raises(SpecParseError, match=f"column {column}: beta suffix applies") as err:
+            parse_spec(text)
+        assert err.value.pos == column - 1
     # an integer beyond int's digit limit is a parse error too: a window size
     # at its first digit, a suffix value at its key
     for text, pos in (("AA(" + "1" * 5000 + ")", 3), ("AA(2,AA(1));iterN=" + "1" * 5000, 12)):
@@ -264,6 +272,9 @@ def test_build_problem_kinds_and_params():
     # values are cast by the kind's key table, strings included
     assert build_problem("bratu", {"N": "8", "lam": "6"}).n == 64
     assert build_problem("tridiag", {"n": 30.0}).n == 30
+    # an integer key reads every integral spelling alike
+    for n in ("30.0", "3e1", "+30", " 30 ", 3e1):
+        assert build_problem("tridiag", {"n": n}).n == 30, n
     with pytest.raises(ValueError):
         build_problem("poisson", {})
     # an integer key rejects a fraction, a float key rejects NaN and infinity
@@ -271,6 +282,15 @@ def test_build_problem_kinds_and_params():
         ("tridiag", {"n": 3.5}, "must be int"),
         ("tridiag", {"n": float("inf")}, "must be int"),
         ("bratu", {"N": "3.5"}, "must be int"),
+        ("bratu", {"N": "35e-1"}, "must be int"),
+        ("tridiag", {"n": float("nan")}, "must be int"),
+        ("tridiag", {"n": "nan"}, "must be int"),
+        ("tridiag", {"n": "-inf"}, "must be int"),
+        # a spelling that would expand into a huge integer reads as infinity
+        ("tridiag", {"n": "1e1000000000"}, "must be int"),
+        # from 2**53 on, a float no longer holds every integer exactly
+        ("tridiag", {"n": 2.0**53}, "must be int"),
+        ("tridiag", {"n": "9007199254740992.0"}, "must be int"),
         ("bratu", {"N": 4, "lam": float("nan")}, "must be float"),
         ("bratu", {"N": 4, "lam": "inf"}, "must be float"),
         ("convdiff", {"N": 4, "eps": float("-inf")}, "must be float"),
@@ -522,6 +542,37 @@ def test_flags_and_run_fields_stay_in_step(tmp_path):
     assert load_experiment_config(cfg_path).run_config == RunConfig(tol=1e-6, max_iters=400)
 
 
+def test_flags_are_read_by_the_file_rule(tmp_path, capsys):
+    # flag values reach the config as strings and are cast once, as file values are
+    argv = ["run", "--problem", "tridiag", "--param", "n=10.0", "--tol", "1e-6",
+            "--max-iters", "400.0", "--max-fevals", "4e2"]
+    config = _config_from_args(_build_parser().parse_args(argv))
+    assert build_problem(config.problem_kind, config.problem_params).n == 10
+    assert config.run_config == RunConfig(tol=1e-6, max_iters=400, max_fevals=400)
+    largest = _config_from_args(_build_parser().parse_args(
+        ["run", "--problem", "tridiag", "--max-iters", "9007199254740991.0"]))
+    assert largest.run_config.max_iters == 2**53 - 1
+    for flag, value, message in (
+        ("--max-iters", "3.5", "run key max_iters must be int, got '3.5'"),
+        ("--max-iters", "35e-1", "run key max_iters must be int, got '35e-1'"),
+        ("--max-fevals", "nan", "run key max_fevals must be int, got 'nan'"),
+        ("--max-fevals", "inf", "run key max_fevals must be int, got 'inf'"),
+        ("--max-iters", "1e1000000000", "run key max_iters must be int"),
+        ("--max-iters", "9007199254740992.0", "run key max_iters must be int"),
+        ("--max-iters", "x", "run key max_iters must be int, got 'x'"),
+        ("--tol", "x", "run key tol must be float, got 'x'"),
+        ("--param", "n=10.5", "tridiag parameter n must be int, got '10.5'"),
+    ):
+        argv = ["run", "--problem", "tridiag", flag, value, "--out", str(tmp_path / "bad")]
+        assert main(argv) == 1, (flag, value)
+        assert f"anderkit: config error: {message}" in capsys.readouterr().err, (flag, value)
+    assert not (tmp_path / "bad").exists()
+    # a file value in float form reads as the flag's does
+    cfg_path = tmp_path / "exp.json"
+    _write_config(cfg_path, run={"max_iters": "400.0", "max_fevals": 4e2})
+    assert load_experiment_config(cfg_path).run_config == RunConfig(max_iters=400, max_fevals=400)
+
+
 def test_flags_override_invalid_file_values(tmp_path, capsys):
     cfg_path = tmp_path / "exp.json"
     cfg_path.write_text(
@@ -715,6 +766,38 @@ def test_every_export_resolves_once():
     assert missing == []
 
 
+def _child_env():
+    """os.environ with this checkout's src/ first on PYTHONPATH, for a child interpreter."""
+    src = str(Path(anderkit.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_list_solvers_runs_under_python_OO():
+    # -OO strips docstrings to None, so nothing on the command path may read one
+    proc = subprocess.run([sys.executable, "-OO", "-m", "anderkit.cli", "list-solvers"],
+                          capture_output=True, text=True, env=_child_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "SPEC := picard" in proc.stdout
+
+
+def test_check_fails_a_broken_library_under_python_O():
+    # -O strips assert statements; with the meter's acquire a no-op, the
+    # memory check must still fail and the others still pass
+    code = (
+        "import sys\n"
+        "from anderkit import accelerator, cli\n"
+        "accelerator.WindowMeter.acquire = lambda self: None\n"
+        "sys.exit(cli.main(['check']))\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, env=_child_env(), timeout=120)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [line.startswith("FAIL") for line in lines] == [False, False, False, True, False]
+    assert lines[3].startswith("FAIL window memory accounting: AA(5): got {"), lines[3]
+    assert "'peak': 0" in lines[3] and "expected {'peak': 6, 'memory': 6}" in lines[3]
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -725,8 +808,6 @@ def test_every_export_resolves_once():
 def test_closed_stdout_exits_with_the_io_code_and_no_traceback(args, tmp_path):
     # The pipe's read end is closed before the child starts, so its first
     # write to stdout fails, as when the output is piped into head.
-    src = str(Path(anderkit.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
@@ -735,7 +816,7 @@ def test_closed_stdout_exits_with_the_io_code_and_no_traceback(args, tmp_path):
             stdout=write_end,
             stderr=subprocess.PIPE,
             text=True,
-            env=env,
+            env=_child_env(),
             cwd=tmp_path,
             timeout=120,
         )
