@@ -21,7 +21,7 @@ is always one contiguous slice.
 The factor is valid as soon as the window holds one difference; the
 kernel updates it (qr_append, qr_downdate) and loads scipy for it. Every mix,
 full window or tail, is one least_squares call on R's columns and Q^T f_k,
-which is computed once per push and shared with the tails. A whole
+which the push forms right after the append and shares with the tails. A whole
 window's R is square and is solved as the triangle it is when its diagonal
 passes the rank test; a tail's block of R's newest columns, or an R with a
 zero or tiny diagonal entry, takes the pivoted solve. A tail is a
@@ -120,7 +120,7 @@ class HistoryWindow:
         self._newest: WindowEntry | None = None
         self._len = 0
         self._closed = False
-        # The window a tail() view reads; views must not be pushed onto.
+        # The window a tail() view reads, kept so that push refuses views.
         self._root: HistoryWindow | None = None
         # Difference column i sits in row _head + i of _dx.
         self._dx: np.ndarray | None = None
@@ -129,7 +129,7 @@ class HistoryWindow:
         self._q: np.ndarray | None = None
         self._r: np.ndarray | None = None
         self.factor: tuple[np.ndarray, np.ndarray] | None = None
-        # Q^T f_k of the newest entry, cleared by push.
+        # Q^T f_k of the newest entry, set by the push that adds it.
         self._qtf: np.ndarray | None = None
 
     def __len__(self) -> int:
@@ -151,7 +151,6 @@ class HistoryWindow:
             )
         f = gx - x
         self._newest = entry = WindowEntry(x, gx, f, norm2(f))
-        self._qtf = None
         full = self._len == self.capacity
         if not full:
             self._len += 1
@@ -182,6 +181,7 @@ class HistoryWindow:
         q = self._q[: entry.x.shape[0]]
         qr_append(q, self._r, p - 1, entry.f - prev.f)
         self.factor = (q[:, :p], self._r[:p, :p])
+        self._qtf = self.factor[0].T @ entry.f
 
     def differences(self) -> np.ndarray:
         """The dx block as a p x n view, oldest column first."""
@@ -207,14 +207,12 @@ class HistoryWindow:
             view._dx = self.differences()[1 - k:]
             q, r = self.factor
             view.factor = (q, r[:, 1 - k:])
+            view._qtf = self._qtf
         return view
 
     def qtf(self) -> np.ndarray:
-        """Q^T f_k, computed at the first call after a push and shared with tails."""
-        owner = self if self._root is None else self._root
-        if owner._qtf is None:
-            owner._qtf = self.factor[0].T @ self._newest.f
-        return owner._qtf
+        """Q^T f_k, set by the push that added the newest entry and shared with tails."""
+        return self._qtf
 
     def newest(self) -> WindowEntry | None:
         return self._newest
@@ -390,15 +388,15 @@ def aa_step(
     gain theta = ||sum_i alpha_i f_i|| / ||f_k||, ||alpha||_1, and the one
     mixing check (theta, sum_i alpha_i). The optimized policy spends
     exactly two g evaluations (at the averaged iterate and at the averaged
-    g-image); the other policies spend none. An undamped step returns the
-    averaged g-image itself, which for a one-entry window is the stored g(x).
+    g-image) to choose beta; the other policies spend none and take the
+    policy's beta. Under every policy a step with beta = 1 returns the
+    averaged g-image itself, which for a one-entry window is the stored
+    g(x), and any other beta gives x_avg + beta (gx_avg - x_avg).
     """
     mix = solve_mixing_coefficients(window)
     fk_norm = window.newest().f_norm
     theta = mix.mixed_norm / fk_norm if fk_norm > 0.0 else 0.0
-    # A finite ||f|| proves x and g(x) finite, and a one-entry window's
-    # undamped step is its g(x), so only that step skips the check below.
-    checked = True
+    beta = policy.beta
 
     if policy.kind == "optimized":
         # g gets read-only points, as run() gives it: these may be stored ones.
@@ -411,18 +409,13 @@ def aa_step(
             raise DivergedError("damping probe evaluations left the finite range")
         r_q = mix.gx_avg - gq
         beta = safeguard_beta(optimized_beta(r_p, r_q), policy)
-        x_next = mix.x_avg + beta * (mix.gx_avg - mix.x_avg)
-    else:
-        beta = 1.0 if policy.kind == "none" else policy.beta
-        if beta == 1.0:
-            # Equal in value to the blend below, which would add 0 * x_avg:
-            # only the sign of a zero entry can differ.
-            x_next = mix.gx_avg
-            checked = len(window) > 1 or not math.isfinite(fk_norm)
-        else:
-            x_next = (1.0 - beta) * mix.x_avg + beta * mix.gx_avg
 
-    if checked and not np.isfinite(x_next).all():
+    # x_avg + 1 (gx_avg - x_avg) can round gx_avg away, so beta = 1 takes gx_avg itself.
+    x_next = mix.gx_avg if beta == 1.0 else mix.x_avg + beta * (mix.gx_avg - mix.x_avg)
+    # A finite ||f|| proves x and g(x) finite, and a one-entry window's
+    # beta = 1 step is its g(x), so only that step skips the check.
+    proven = beta == 1.0 and len(window) == 1 and math.isfinite(fk_norm)
+    if not proven and not np.isfinite(x_next).all():
         raise DivergedError("next iterate left the finite range")
     # A field equal to 1.0 is the shared 1.0, and a check equal to (1.0, 1.0)
     # the shared tuple: the same bits, held once for every row.

@@ -533,21 +533,28 @@ def _owned_floats(window):
 
 @pytest.mark.parametrize("capacity, n", [(1, 3), (2, 1), (5, 4), (5, 30), (21, 64)])
 def test_window_stores_the_dx_ring_and_the_factor_and_its_tails_store_nothing(capacity, n):
-    # Once full, a window holds the mirrored dx ring, Q and R, and no df
-    # block: (3 (c - 1) - 1) n + (c - 1)^2 floats for n >= c - 1, and a
-    # capacity-1 window none.
+    # Once full, a window holds the mirrored dx ring, Q, R and Q^T f_k, and
+    # no df block: (3 (c - 1) - 1) n + (c - 1)^2 + (c - 1) floats for
+    # n >= c - 1, and a capacity-1 window none.
     rng = np.random.default_rng(capacity * n)
     w = HistoryWindow(capacity)
     for _ in range(capacity + 2):
         x = rng.standard_normal(n)
         w.push(x, x + rng.standard_normal(n))
     slots = capacity - 1
-    assert _owned_floats(w) == ((3 * slots - 1) * n + slots * slots if slots else 0)
+    assert _owned_floats(w) == ((3 * slots - 1) * n + slots * slots + slots if slots else 0)
+    if slots:
+        # The push formed Q^T f_k; no mix has run yet.
+        assert np.array_equal(w.qtf(), w.factor[0].T @ w.newest().f)
     for k in range(1, capacity):
         t = w.tail(k)
         solve_mixing_coefficients(t)
-        views = [a for a in vars(t).values() if isinstance(a, np.ndarray)] + list(t.factor or ())
-        assert _owned_floats(t) == 0 and all(a.base is not None for a in views)
+        # A tail stores nothing: it holds views, and its window's Q^T f_k itself.
+        assert k == 1 or t.qtf() is w.qtf()
+        views = [a for a in vars(t).values() if isinstance(a, np.ndarray) and a is not w.qtf()]
+        views += list(t.factor or ())
+        assert _owned_floats(t) == (slots if k > 1 else 0)
+        assert all(a.base is not None for a in views)
 
 
 def _peak_vectors(spec, problem, steps=60):
@@ -920,6 +927,37 @@ def test_step_optimized_costs_two_evals_and_moves_along_segment():
     # scalar affine: x_avg=0, gx_avg=1, r_p=-1, r_q=-0.5, projection = 2 -> clamp 1
     assert step.beta == 1.0
     assert step.x_next[0] == pytest.approx(1.0)
+
+
+def test_step_optimized_beta_of_one_returns_the_averaged_image_itself():
+    # r_q = 0, so beta is exactly 1; x_avg + 1 (gx_avg - x_avg) would be
+    # 1 + (3e-17 - 1) = 0, rounding the image away.
+    g = lambda x: np.full_like(x, 3e-17)
+    w = HistoryWindow(1)
+    x = np.array([1.0])
+    w.push(x, g(x))
+    step = aa_step(w, DampingPolicy.optimized(), g)
+    assert step.beta == 1.0
+    assert step.x_next is w.newest().gx and step.x_next[0] == 3e-17
+
+
+def test_step_constant_damping_forms_the_damped_step_bit_for_bit():
+    # Walker & Ni's damped step x_avg + beta (gx_avg - x_avg), with no
+    # second formula for constant damping.
+    rng = np.random.default_rng(5)
+    mat = rng.standard_normal((12, 12))
+    mat *= 0.9 / np.linalg.norm(mat, 2)
+    g = lambda x: mat @ x + 1.0
+    w = HistoryWindow(5)
+    x = rng.standard_normal(12)
+    for _ in range(6):
+        _push_with(g, w, x)
+        x = g(x) + 0.1 * rng.standard_normal(12)
+    assert len(w) == 5
+    mix = solve_mixing_coefficients(w)
+    step = aa_step(w, DampingPolicy.constant(0.3), g)
+    assert step.beta == 0.3
+    assert np.array_equal(step.x_next, mix.x_avg + 0.3 * (mix.gx_avg - mix.x_avg))
 
 
 def test_step_optimized_probes_survive_a_map_that_reuses_its_output_buffer():

@@ -20,7 +20,7 @@ from anderkit.composer import (
 )
 from anderkit.diagnostics import Termination
 from anderkit.kernel import norm2
-from anderkit.problems import FixedPointProblem, tridiag_problem
+from anderkit.problems import FixedPointProblem, bratu_problem, tridiag_problem
 from test_equivariance import FORMS, PROBLEMS
 
 
@@ -130,6 +130,26 @@ def test_additive_with_full_weight_on_left_is_plain_left():
     b = run(Additive(AA(3), AA(1), 1.0, 0.0), p, p.default_start, cfg)
     assert res_seq(a) == res_seq(b)
     assert a.fevals == b.fevals
+
+
+@pytest.mark.parametrize(
+    "optimized, plain, problem",
+    [("AAoptD(2)", "AA(2)", lambda: tridiag_problem(30)),
+     ("AAoptD(3,AA(1))", "AA(3,AA(1))", lambda: bratu_problem(16))],
+)
+def test_optimized_damping_whose_every_beta_is_one_runs_as_aa(optimized, plain, problem):
+    # A beta = 1 step is the averaged image under every policy, so AAoptD
+    # differs from AA only by its two probes per step.
+    p = problem()
+    cfg = RunConfig(tol=1e-300, max_iters=40)
+    damped = run(parse_spec(optimized), p, p.default_start, cfg)
+    undamped = run(parse_spec(plain), p, p.default_start, cfg)
+    assert len(damped.rows) == len(undamped.rows) == 41
+    assert all(row.beta == 1.0 for row in damped.rows[1:])
+    fields = lambda row: repr((row.res_norm, row.theta, row.alpha_abs_sum, row.mixing_checks))
+    for a, b in zip(damped.rows, undamped.rows):
+        assert fields(a) == fields(b), a.k
+        assert a.fevals - b.fevals == 2 * a.k
 
 
 def test_inner_picard_one_step_is_g_of_half_step():
